@@ -371,18 +371,6 @@ impl Sim {
         }
     }
 
-    /// Attach an observability recorder.
-    #[deprecated(note = "configure observability once via `Sim::attach_obs`")]
-    pub fn attach_recorder(&self, rec: Arc<dyn crate::obs::Recorder>) {
-        self.attach_obs(&crate::obs::Obs::none().recorder(rec));
-    }
-
-    /// Attach a host-time self-profiler.
-    #[deprecated(note = "configure observability once via `Sim::attach_obs`")]
-    pub fn attach_profiler(&self, prof: Arc<crate::obs::HostProfiler>) {
-        self.attach_obs(&crate::obs::Obs::none().profiler(prof));
-    }
-
     /// Like [`Sim::run`], but also report how many events were dispatched —
     /// the denominator of the kernel's events-per-second throughput.
     pub fn run_counted(self) -> Result<RunStats, SimError> {

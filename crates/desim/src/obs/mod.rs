@@ -204,9 +204,8 @@ pub trait Recorder: Send + Sync {
 /// The single observability configuration: which recorder receives the
 /// structured event stream and which host-time profiler the kernel and
 /// network attribute their wall-clock time to. One `Obs` is handed to the
-/// top of the stack (a `Scenario` or `MpiJob`) and fanned out from there,
-/// replacing the former per-layer `attach_recorder`/`attach_profiler`/
-/// `with_recorder` trio.
+/// top of the stack (a `Scenario` or `MpiJob`, via `with_obs`; or a bare
+/// `Sim`/`Network`, via `attach_obs`) and fanned out from there.
 #[derive(Clone, Default)]
 pub struct Obs {
     /// Structured-event sink, if any.

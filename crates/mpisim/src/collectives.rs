@@ -14,6 +14,8 @@
 //!   transfers, exploiting the fact that the WAN backbone is faster than a
 //!   single node's NIC.
 
+use std::sync::Arc;
+
 use crate::rank::RankCtx;
 
 /// Collective operation kinds. Each kind owns an independent per-rank
@@ -128,6 +130,22 @@ pub enum CollAlgo {
 }
 
 impl CollAlgo {
+    /// Every algorithm, in declaration order.
+    pub const ALL: [CollAlgo; 12] = [
+        CollAlgo::ProfileDefault,
+        CollAlgo::Linear,
+        CollAlgo::Chain,
+        CollAlgo::Pipeline,
+        CollAlgo::Binary,
+        CollAlgo::InOrderBinary,
+        CollAlgo::Binomial,
+        CollAlgo::ScatterAllgather,
+        CollAlgo::Ring,
+        CollAlgo::RecursiveDoubling,
+        CollAlgo::Rabenseifner,
+        CollAlgo::Pairwise,
+    ];
+
     /// Short stable label (decision tables, bench names, CLI).
     pub fn name(self) -> &'static str {
         match self {
@@ -172,6 +190,26 @@ impl CollSel {
             algo,
             two_level: true,
         }
+    }
+
+    /// Stable label: the algorithm name, with `+2lvl` for the two-level
+    /// variant (decision tables, campaign scenario keys).
+    pub fn name(self) -> String {
+        if self.two_level {
+            format!("{}+2lvl", self.algo.name())
+        } else {
+            self.algo.name().to_string()
+        }
+    }
+
+    /// Inverse of [`CollSel::name`].
+    pub fn parse(name: &str) -> Option<CollSel> {
+        let (algo, two_level) = match name.strip_suffix("+2lvl") {
+            Some(flat) => (flat, true),
+            None => (name, false),
+        };
+        let algo = CollAlgo::ALL.into_iter().find(|a| a.name() == algo)?;
+        Some(CollSel { algo, two_level })
     }
 }
 
@@ -288,7 +326,7 @@ fn pos_in(group: &[usize], rank: usize) -> usize {
     group
         .iter()
         .position(|&g| g == rank)
-        .expect("caller is in group")
+        .expect("rank is in group")
 }
 
 /// Parent and children of vrank `v` in the in-order (range-splitting)
@@ -990,7 +1028,7 @@ pub(crate) async fn barrier(ctx: &mut RankCtx, tag: u64) {
 }
 
 /// Binomial-tree broadcast over an arbitrary rank subgroup.
-async fn subgroup_binomial_bcast(
+pub(crate) async fn subgroup_binomial_bcast(
     ctx: &mut RankCtx,
     group: &[usize],
     root: usize,
@@ -1001,14 +1039,8 @@ async fn subgroup_binomial_bcast(
     if p <= 1 {
         return;
     }
-    let me = group
-        .iter()
-        .position(|&g| g == ctx.rank())
-        .expect("caller is in group");
-    let rootpos = group
-        .iter()
-        .position(|&g| g == root)
-        .expect("root is in group");
+    let me = pos_in(group, ctx.rank());
+    let rootpos = pos_in(group, root);
     let vrank = (me + p - rootpos) % p;
     let real = |v: usize| group[(v + rootpos) % p];
     let mut mask = 1usize;
@@ -1033,7 +1065,7 @@ async fn subgroup_binomial_bcast(
 }
 
 /// Binomial-tree reduce over an arbitrary rank subgroup.
-async fn subgroup_binomial_reduce(
+pub(crate) async fn subgroup_binomial_reduce(
     ctx: &mut RankCtx,
     group: &[usize],
     root: usize,
@@ -1044,14 +1076,8 @@ async fn subgroup_binomial_reduce(
     if p <= 1 {
         return;
     }
-    let me = group
-        .iter()
-        .position(|&g| g == ctx.rank())
-        .expect("caller is in group");
-    let rootpos = group
-        .iter()
-        .position(|&g| g == root)
-        .expect("root is in group");
+    let me = pos_in(group, ctx.rank());
+    let rootpos = pos_in(group, root);
     let vrank = (me + p - rootpos) % p;
     let real = |v: usize| group[(v + rootpos) % p];
     let mut mask = 1usize;
@@ -1070,15 +1096,17 @@ async fn subgroup_binomial_reduce(
 
 /// Ring allgather over a subgroup: `steps = |group| - 1` rounds of
 /// `chunk` bytes to the right neighbour.
-async fn subgroup_ring_allgather(ctx: &mut RankCtx, group: &[usize], chunk: u64, tag: u64) {
+pub(crate) async fn subgroup_ring_allgather(
+    ctx: &mut RankCtx,
+    group: &[usize],
+    chunk: u64,
+    tag: u64,
+) {
     let p = group.len();
     if p <= 1 {
         return;
     }
-    let me = group
-        .iter()
-        .position(|&g| g == ctx.rank())
-        .expect("caller is in group");
+    let me = pos_in(group, ctx.rank());
     let right = group[(me + 1) % p];
     let left = group[(me + p - 1) % p];
     for _ in 0..p - 1 {
@@ -1089,48 +1117,13 @@ async fn subgroup_ring_allgather(ctx: &mut RankCtx, group: &[usize], chunk: u64,
     }
 }
 
-/// Binomial bcast over an explicit subgroup (sub-communicator surface).
-pub(crate) async fn subgroup_bcast(
-    ctx: &mut RankCtx,
-    group: &[usize],
-    root: usize,
-    bytes: u64,
-    tag: u64,
-) {
-    subgroup_binomial_bcast(ctx, group, root, bytes, tag).await;
-}
-
-/// Binomial reduce over an explicit subgroup (sub-communicator surface).
-pub(crate) async fn subgroup_reduce(
-    ctx: &mut RankCtx,
-    group: &[usize],
-    root: usize,
-    bytes: u64,
-    tag: u64,
-) {
-    subgroup_binomial_reduce(ctx, group, root, bytes, tag).await;
-}
-
-/// Ring allgather over an explicit subgroup (sub-communicator surface).
-pub(crate) async fn subgroup_allgather(
-    ctx: &mut RankCtx,
-    group: &[usize],
-    bytes_each: u64,
-    tag: u64,
-) {
-    subgroup_ring_allgather(ctx, group, bytes_each, tag).await;
-}
-
 /// Dissemination barrier over an explicit subgroup.
 pub(crate) async fn subgroup_barrier(ctx: &mut RankCtx, group: &[usize], tag: u64) {
     let p = group.len();
     if p <= 1 {
         return;
     }
-    let me = group
-        .iter()
-        .position(|&g| g == ctx.rank())
-        .expect("caller is in group");
+    let me = pos_in(group, ctx.rank());
     let mut k = 1;
     while k < p {
         let to = group[(me + k) % p];
@@ -1149,10 +1142,7 @@ pub(crate) async fn subgroup_allreduce(ctx: &mut RankCtx, group: &[usize], bytes
     if p <= 1 {
         return;
     }
-    let me = group
-        .iter()
-        .position(|&g| g == ctx.rank())
-        .expect("caller is in group");
+    let me = pos_in(group, ctx.rank());
     let p2 = prev_pow2(p);
     let extra = p - p2;
     if me >= p2 {
@@ -1190,20 +1180,23 @@ pub(crate) async fn bcast(ctx: &mut RankCtx, root: usize, bytes: u64, tag: u64) 
         if sel.two_level && ctx.world().site_groups.len() > 1 {
             two_level_bcast(ctx, root, bytes, tag, sel.algo).await;
         } else {
-            let all: Vec<usize> = (0..p).collect();
-            algo_bcast(ctx, &all, root, bytes, tag, sel.algo).await;
+            let world = Arc::clone(ctx.world());
+            algo_bcast(ctx, &world.ranks, root, bytes, tag, sel.algo).await;
         }
         return;
     }
     let suite = ctx.world().profile.collectives;
-    let all: Vec<usize> = (0..p).collect();
+    let world = Arc::clone(ctx.world());
+    let all = &world.ranks;
     match suite.bcast {
-        BcastAlgo::Binomial => subgroup_binomial_bcast(ctx, &all, root, bytes, tag).await,
+        BcastAlgo::Binomial => subgroup_binomial_bcast(ctx, all, root, bytes, tag).await,
         BcastAlgo::ScatterAllgather => {
+            // Oblivious to sites: in rank order the allgather ring
+            // crosses the WAN twice per lap — the grid pathology.
             if bytes >= suite.large_threshold && p.is_power_of_two() && p > 2 {
-                scatter_allgather_bcast(ctx, root, bytes, tag).await;
+                subgroup_vdg_bcast(ctx, all, root, bytes, tag).await;
             } else {
-                subgroup_binomial_bcast(ctx, &all, root, bytes, tag).await;
+                subgroup_binomial_bcast(ctx, all, root, bytes, tag).await;
             }
         }
         BcastAlgo::GridAware => {
@@ -1215,46 +1208,9 @@ pub(crate) async fn bcast(ctx: &mut RankCtx, root: usize, bytes: u64, tag: u64) 
                 // (one WAN hop), then intra-site trees.
                 grid_small_bcast(ctx, root, bytes, tag).await;
             } else {
-                subgroup_binomial_bcast(ctx, &all, root, bytes, tag).await;
+                subgroup_binomial_bcast(ctx, all, root, bytes, tag).await;
             }
         }
-    }
-}
-
-/// Van de Geijn: binomial scatter + ring allgather, oblivious to sites.
-/// Requires power-of-two world size (callers fall back otherwise).
-async fn scatter_allgather_bcast(ctx: &mut RankCtx, root: usize, bytes: u64, tag: u64) {
-    let p = ctx.size();
-    let rank = ctx.rank();
-    let vrank = (rank + p - root) % p;
-    let real = |v: usize| (v + root) % p;
-    // Binomial scatter: the holder of a 2·mask block forwards its upper
-    // half.
-    let mut mask = p >> 1;
-    while mask >= 1 {
-        if vrank.is_multiple_of(mask << 1) {
-            let req = ctx
-                .send_raw(real(vrank + mask), bytes * mask as u64 / p as u64, tag)
-                .await;
-            ctx.wait(req).await;
-        } else if vrank % (mask << 1) == mask {
-            ctx.recv(real(vrank - mask), tag).await;
-        }
-        if mask == 1 {
-            break;
-        }
-        mask >>= 1;
-    }
-    // Ring allgather of the p chunks. In rank order the ring crosses the
-    // WAN twice per lap — the grid pathology.
-    let chunk = (bytes / p as u64).max(1);
-    let right = real((vrank + 1) % p);
-    let left = real((vrank + p - 1) % p);
-    for _ in 0..p - 1 {
-        let rr = ctx.irecv(left, tag);
-        let sr = ctx.send_raw(right, chunk, tag).await;
-        ctx.wait(rr).await;
-        ctx.wait(sr).await;
     }
 }
 
@@ -1339,7 +1295,7 @@ async fn grid_bcast(ctx: &mut RankCtx, root: usize, bytes: u64, tag: u64) {
         let group = groups[my_site].clone();
         let m = root_group.len().min(group.len());
         let chunk = (bytes / m as u64).max(1);
-        let me_pos = group.iter().position(|&g| g == rank).expect("in group");
+        let me_pos = pos_in(&group, rank);
         if me_pos < m {
             let holders: Vec<usize> = group[..m].to_vec();
             subgroup_ring_allgather(ctx, &holders, chunk, tag).await;
@@ -1374,13 +1330,13 @@ pub(crate) async fn reduce(ctx: &mut RankCtx, root: usize, bytes: u64, tag: u64)
         if sel.two_level && ctx.world().site_groups.len() > 1 {
             two_level_reduce(ctx, root, bytes, tag, sel.algo).await;
         } else {
-            let all: Vec<usize> = (0..p).collect();
-            algo_reduce(ctx, &all, root, bytes, tag, sel.algo).await;
+            let world = Arc::clone(ctx.world());
+            algo_reduce(ctx, &world.ranks, root, bytes, tag, sel.algo).await;
         }
         return;
     }
-    let all: Vec<usize> = (0..p).collect();
-    subgroup_binomial_reduce(ctx, &all, root, bytes, tag).await;
+    let world = Arc::clone(ctx.world());
+    subgroup_binomial_reduce(ctx, &world.ranks, root, bytes, tag).await;
 }
 
 /// `MPI_Allreduce` dispatch: a [`CollConfig`] pin wins; otherwise the
@@ -1396,19 +1352,21 @@ pub(crate) async fn allreduce(ctx: &mut RankCtx, bytes: u64, tag: u64) {
         if sel.two_level && ctx.world().site_groups.len() > 1 {
             two_level_allreduce(ctx, bytes, tag, sel.algo).await;
         } else {
-            let all: Vec<usize> = (0..p).collect();
-            algo_allreduce(ctx, &all, bytes, tag, sel.algo).await;
+            let world = Arc::clone(ctx.world());
+            algo_allreduce(ctx, &world.ranks, bytes, tag, sel.algo).await;
         }
         return;
     }
     let suite = ctx.world().profile.collectives;
+    let world = Arc::clone(ctx.world());
+    let all = &world.ranks;
     match suite.allreduce {
-        AllreduceAlgo::RecursiveDoubling => recursive_doubling_allreduce(ctx, bytes, tag).await,
+        AllreduceAlgo::RecursiveDoubling => subgroup_allreduce(ctx, all, bytes, tag).await,
         AllreduceAlgo::Rabenseifner => {
             if bytes >= suite.large_threshold && p.is_power_of_two() && p > 2 {
-                rabenseifner_allreduce(ctx, bytes, tag).await;
+                subgroup_rabenseifner_allreduce(ctx, all, bytes, tag).await;
             } else {
-                recursive_doubling_allreduce(ctx, bytes, tag).await;
+                subgroup_allreduce(ctx, all, bytes, tag).await;
             }
         }
         AllreduceAlgo::GridAware => {
@@ -1417,54 +1375,9 @@ pub(crate) async fn allreduce(ctx: &mut RankCtx, bytes: u64, tag: u64) {
             if ctx.world().site_groups.len() > 1 && bytes >= suite.large_threshold {
                 grid_allreduce(ctx, bytes, tag).await;
             } else {
-                recursive_doubling_allreduce(ctx, bytes, tag).await;
+                subgroup_allreduce(ctx, all, bytes, tag).await;
             }
         }
-    }
-}
-
-async fn recursive_doubling_allreduce(ctx: &mut RankCtx, bytes: u64, tag: u64) {
-    let p = ctx.size();
-    let rank = ctx.rank();
-    let p2 = prev_pow2(p);
-    let extra = p - p2;
-    if rank >= p2 {
-        // Fold into the power-of-two core, then collect the result.
-        let req = ctx.send_raw(rank - p2, bytes, tag).await;
-        ctx.wait(req).await;
-        ctx.recv(rank - p2, tag).await;
-        return;
-    }
-    if rank < extra {
-        ctx.recv(rank + p2, tag).await;
-    }
-    let mut mask = 1;
-    while mask < p2 {
-        let partner = rank ^ mask;
-        ctx.sendrecv(partner, bytes, partner, tag).await;
-        mask <<= 1;
-    }
-    if rank < extra {
-        let req = ctx.send_raw(rank + p2, bytes, tag).await;
-        ctx.wait(req).await;
-    }
-}
-
-/// Rabenseifner: reduce-scatter (recursive halving) + allgather (recursive
-/// doubling). Power-of-two world sizes only.
-async fn rabenseifner_allreduce(ctx: &mut RankCtx, bytes: u64, tag: u64) {
-    let p = ctx.size();
-    let rank = ctx.rank();
-    let lg = p.trailing_zeros();
-    for k in 0..lg {
-        let partner = rank ^ (1 << k);
-        let size = (bytes >> (k + 1)).max(1);
-        ctx.sendrecv(partner, size, partner, tag).await;
-    }
-    for k in (0..lg).rev() {
-        let partner = rank ^ (1 << k);
-        let size = (bytes >> (k + 1)).max(1);
-        ctx.sendrecv(partner, size, partner, tag).await;
     }
 }
 
@@ -1507,7 +1420,7 @@ async fn grid_allreduce(ctx: &mut RankCtx, bytes: u64, tag: u64) {
         return;
     }
 
-    let pos = group.iter().position(|&g| g == rank).expect("in group");
+    let pos = pos_in(&group, rank);
     // Phase A: intra-site reduce-scatter (recursive halving).
     let lg = k.trailing_zeros();
     for j in 0..lg {
@@ -1546,13 +1459,13 @@ pub(crate) async fn ring_allgather(ctx: &mut RankCtx, bytes_each: u64, tag: u64)
         if sel.two_level && ctx.world().site_groups.len() > 1 {
             two_level_allgather(ctx, bytes_each, tag, sel.algo).await;
         } else {
-            let all: Vec<usize> = (0..p).collect();
-            algo_allgather(ctx, &all, bytes_each, tag, sel.algo).await;
+            let world = Arc::clone(ctx.world());
+            algo_allgather(ctx, &world.ranks, bytes_each, tag, sel.algo).await;
         }
         return;
     }
-    let all: Vec<usize> = (0..p).collect();
-    subgroup_ring_allgather(ctx, &all, bytes_each, tag).await;
+    let world = Arc::clone(ctx.world());
+    subgroup_ring_allgather(ctx, &world.ranks, bytes_each, tag).await;
 }
 
 /// Alltoall(v) dispatch: a [`CollConfig`] pin can select the linear
@@ -1680,6 +1593,18 @@ mod tests {
         // Non-pinnable ops always report the default.
         let pinned = CollConfig::new().pin_all(CollOp::Barrier, CollSel::flat(CollAlgo::Ring));
         assert_eq!(pinned.select(CollOp::Barrier, 1), CollSel::default());
+    }
+
+    #[test]
+    fn sel_names_round_trip() {
+        for algo in CollAlgo::ALL {
+            for sel in [CollSel::flat(algo), CollSel::two_level(algo)] {
+                assert_eq!(CollSel::parse(&sel.name()), Some(sel));
+            }
+        }
+        assert_eq!(CollSel::two_level(CollAlgo::Ring).name(), "ring+2lvl");
+        assert_eq!(CollSel::parse("default"), None);
+        assert_eq!(CollSel::parse("binomial+2lvl+2lvl"), None);
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl RankCtx {
         let group = comm.ranks.clone();
         let root_world = comm.world_rank(root);
         self.coll_on("comm_bcast", bytes, async |ctx, tag| {
-            collectives::subgroup_bcast(ctx, &group, root_world, bytes, tag).await;
+            collectives::subgroup_binomial_bcast(ctx, &group, root_world, bytes, tag).await;
         })
         .await;
     }
@@ -77,7 +77,7 @@ impl RankCtx {
         let group = comm.ranks.clone();
         let root_world = comm.world_rank(root);
         self.coll_on("comm_reduce", bytes, async |ctx, tag| {
-            collectives::subgroup_reduce(ctx, &group, root_world, bytes, tag).await;
+            collectives::subgroup_binomial_reduce(ctx, &group, root_world, bytes, tag).await;
         })
         .await;
     }
@@ -95,7 +95,7 @@ impl RankCtx {
     pub async fn comm_allgather(&mut self, comm: &SubComm, bytes_each: u64) {
         let group = comm.ranks.clone();
         self.coll_on("comm_allgather", bytes_each, async |ctx, tag| {
-            collectives::subgroup_allgather(ctx, &group, bytes_each, tag).await;
+            collectives::subgroup_ring_allgather(ctx, &group, bytes_each, tag).await;
         })
         .await;
     }

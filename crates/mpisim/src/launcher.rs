@@ -200,18 +200,6 @@ impl MpiJob {
         self
     }
 
-    /// Attach an observability recorder.
-    #[deprecated(note = "configure observability once via `MpiJob::with_obs`")]
-    pub fn with_recorder(self, rec: Arc<dyn Recorder>) -> MpiJob {
-        self.with_obs(Obs::none().recorder(rec))
-    }
-
-    /// Attach a host-time self-profiler.
-    #[deprecated(note = "configure observability once via `MpiJob::with_obs`")]
-    pub fn with_host_profiler(self, prof: Arc<desim::obs::HostProfiler>) -> MpiJob {
-        self.with_obs(Obs::none().profiler(prof))
-    }
-
     /// Abort the run if it exceeds `limit` of virtual time.
     pub fn with_deadline(mut self, limit: SimTime) -> MpiJob {
         self.deadline = Some(limit);

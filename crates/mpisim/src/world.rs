@@ -146,6 +146,9 @@ pub(crate) struct WorldInner {
     pub site_groups: Vec<Vec<usize>>,
     /// Rank → index into `site_groups`.
     pub rank_site: Vec<usize>,
+    /// Every world rank, in order: the group of world-wide collectives,
+    /// built once so a collective call allocates none.
+    pub ranks: Vec<usize>,
     matchers: Vec<Mutex<RankMatch>>,
     /// Per-rank failure window: `Some((at, until))` means the rank is
     /// dead for virtual times `at ≤ t < until` (`SimTime::MAX` = no
@@ -249,6 +252,7 @@ impl WorldInner {
             placement,
             site_groups,
             rank_site,
+            ranks: (0..n).collect(),
             matchers: (0..n).map(|_| Mutex::new(RankMatch::default())).collect(),
             failed: (0..n).map(|_| Mutex::new(None)).collect(),
             next_posted_id: AtomicU64::new(1),

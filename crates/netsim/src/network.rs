@@ -70,18 +70,6 @@ impl Network {
         }
     }
 
-    /// Attach an observability recorder.
-    #[deprecated(note = "configure observability once via `Network::attach_obs`")]
-    pub fn attach_recorder(&self, rec: Arc<dyn desim::obs::Recorder>) {
-        self.attach_obs(&desim::obs::Obs::none().recorder(rec));
-    }
-
-    /// Attach a host-time self-profiler.
-    #[deprecated(note = "configure observability once via `Network::attach_obs`")]
-    pub fn attach_host_profiler(&self, prof: Arc<desim::obs::HostProfiler>) {
-        self.attach_obs(&desim::obs::Obs::none().profiler(prof));
-    }
-
     /// The profiler attachment body: interns per-link settle keys — settle
     /// time per directed link (labelled `site:<name>` for LAN access links
     /// and `wan:<a>-><b>` for WAN trunks, the candidate PDES shard

@@ -1,103 +1,59 @@
-//! `repro autotune-coll` — the collective-algorithm sweep engine.
+//! The collective autotuner behind `repro autotune-coll`: its candidate
+//! grid and the decision tables rendered from its campaign rows.
 //!
 //! Hunold-style selection tuning: run every candidate algorithm for each
-//! (operation × message size × topology × MPI profile) cell, all through
-//! [`crate::par::par_map`], and emit per-profile *decision tables* — the
-//! winning algorithm per cell — as gnuplot-ready `.dat` files plus a full
-//! JSON record of every measured time. Virtual times are deterministic,
-//! so results are cached under a digest key and a re-run only simulates
-//! cells whose definition changed.
+//! (operation × message size × topology × MPI profile) cell. The grid is
+//! the [`Spec::Autotune`](crate::campaign::Spec::Autotune) campaign spec,
+//! so its cells simulate, cache and land in the ledger through
+//! [`crate::campaign::run`] like any other sweep. This module turns the
+//! rows' virtual elapsed times into per-profile *decision tables* (the
+//! winning algorithm per cell, as gnuplot-ready `.dat` plus a JSON record
+//! of every measured time).
 //!
 //! The interesting output is the LAN / WAN divergence list: cells where
 //! the best algorithm on a single cluster differs from the best on the
 //! four-site grid — the paper's core claim that grid collectives need
-//! different algorithms than cluster collectives. `--check` turns that
-//! into a gate: exit nonzero unless at least one (op, size class)
-//! diverges.
+//! different algorithms than cluster collectives.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
-use desim::SimTime;
-use mpisim::{CollAlgo, CollConfig, CollOp, CollSel, ExecConfig, MpiImpl, RankCtx};
-use netsim::{grid5000_four_sites, grid5000_pair, Network, NodeId};
+use desim::obs::json::{self, Value};
+use desim::obs::ledger::RunRow;
+use mpisim::{CollAlgo, CollConfig, CollOp, CollSel};
 
-use crate::par::par_map;
-use crate::scenario::Scenario;
+use crate::campaign::{Cell, Net};
 use crate::util::{size_label, TuningLevel};
 
-/// Rank count for every sweep cell (the paper's 16-node testbeds).
-const RANKS: usize = 16;
-/// Back-to-back repetitions per measurement (steady-state, not cold).
-const ROUNDS: u32 = 4;
-/// Bump to invalidate every cached measurement.
-const CACHE_VERSION: u32 = 1;
+/// Rank count for every cell (the paper's 16-node testbeds).
+pub const RANKS: usize = 16;
+/// Back-to-back repetitions per measurement (steady state, not cold).
+pub const ROUNDS: u32 = 4;
 
-/// The two placements every cell runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Topo {
-    /// 16 ranks on 16 Rennes nodes: one cluster, no WAN.
-    Lan,
-    /// 4 ranks on each of the four Fig. 8 sites.
-    Wan4,
-}
-
-impl Topo {
-    const ALL: [Topo; 2] = [Topo::Lan, Topo::Wan4];
-
-    fn name(self) -> &'static str {
-        match self {
-            Topo::Lan => "lan",
-            Topo::Wan4 => "wan4",
-        }
-    }
-
-    fn build(self, level: TuningLevel) -> (Network, Vec<NodeId>) {
-        let kernel = level.kernel(Some(MpiImpl::Mpich2));
-        match self {
-            Topo::Lan => {
-                let (mut topo, rn, _nn) = grid5000_pair(RANKS);
-                topo.set_kernel_all(kernel);
-                (Network::new(topo), rn)
-            }
-            Topo::Wan4 => {
-                let (mut topo, _sites, nodes) = grid5000_four_sites(RANKS / 4);
-                topo.set_kernel_all(kernel);
-                let placement: Vec<NodeId> = nodes.into_iter().flatten().collect();
-                (Network::new(topo), placement)
-            }
-        }
-    }
-}
-
-/// The tuned 16-rank testbeds, shared with the collective guideline
-/// checks: one Rennes cluster, or 4 ranks on each of the four sites.
-pub(crate) fn testbed(wan: bool) -> (Network, Vec<NodeId>) {
-    let topo = if wan { Topo::Wan4 } else { Topo::Lan };
-    topo.build(TuningLevel::FullyTuned)
-}
-
-/// An MPI software profile to tune for.
-#[derive(Clone, Copy)]
-struct Profile {
-    name: &'static str,
-    level: TuningLevel,
-}
-
-const PROFILES: [Profile; 2] = [
-    Profile {
-        name: "untuned",
-        level: TuningLevel::Default,
-    },
-    Profile {
-        name: "tuned",
-        level: TuningLevel::FullyTuned,
-    },
+/// The MPI software profiles to tune for, by table name.
+pub const PROFILES: [(&str, TuningLevel); 2] = [
+    ("untuned", TuningLevel::Default),
+    ("tuned", TuningLevel::FullyTuned),
 ];
+
+/// The two placements, by table name: 16 ranks on 16 Rennes nodes, or 4
+/// ranks on each of the four Fig. 8 sites.
+pub const NETS: [(Net, &str); 2] = [(Net::Lan16, "lan"), (Net::Wan4x4, "wan4")];
+
+/// The tuned operations.
+pub const OPS: [CollOp; 2] = [CollOp::Bcast, CollOp::Allreduce];
+
+/// Message sizes of the full grid, or of the `--quick` subset.
+pub fn sizes(quick: bool) -> &'static [u64] {
+    if quick {
+        &[1 << 10, 64 << 10, 1 << 20]
+    } else {
+        &[1 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20]
+    }
+}
 
 /// Candidate selections per operation: every flat algorithm that applies
 /// plus the grid-aware two-level variants.
-fn candidates(op: CollOp) -> Vec<CollSel> {
+pub fn candidates(op: CollOp) -> Vec<CollSel> {
     match op {
         CollOp::Bcast => vec![
             CollSel::flat(CollAlgo::Linear),
@@ -120,307 +76,143 @@ fn candidates(op: CollOp) -> Vec<CollSel> {
     }
 }
 
-fn sel_name(sel: CollSel) -> String {
-    if sel.two_level {
-        format!("{}+2lvl", sel.algo.name())
-    } else {
-        sel.algo.name().to_string()
-    }
-}
-
-fn op_name(op: CollOp) -> &'static str {
+/// Table name of a tuned operation.
+pub fn op_name(op: CollOp) -> &'static str {
     match op {
         CollOp::Bcast => "bcast",
         _ => "allreduce",
     }
 }
 
-/// One sweep cell: everything that determines a measurement.
-#[derive(Clone, Copy)]
-struct Cell {
-    profile: usize,
-    topo: Topo,
-    op: CollOp,
-    sel: CollSel,
-    bytes: u64,
+/// One profile's decision table.
+pub struct Table {
+    /// Profile name (`untuned`, `tuned`), the suffix of the file names.
+    pub profile: &'static str,
+    /// The profile's tuning level.
+    pub level: TuningLevel,
+    /// Human-readable table: winner and runner-up per (op, size, topology).
+    pub text: String,
+    /// Body of `coll_decision_<profile>.dat`.
+    pub dat: String,
+    /// Body of `coll_decision_<profile>.json`: every candidate's time.
+    pub json: String,
 }
 
-impl Cell {
-    /// Human-readable cell description (diagnostics and digesting).
-    fn desc(&self) -> String {
-        format!(
-            "v{CACHE_VERSION}|{}|{}|{}|{}|{}|r{RANKS}|x{ROUNDS}",
-            PROFILES[self.profile].name,
-            self.topo.name(),
-            op_name(self.op),
-            sel_name(self.sel),
-            self.bytes
-        )
-    }
-
-    /// Digest cache key: any change to the cell definition (or
-    /// `CACHE_VERSION`) moves the key and forces a re-simulation.
-    fn key(&self) -> String {
-        format!("{:016x}", fnv1a64(&self.desc()))
-    }
-
-    /// Virtual seconds for `ROUNDS` back-to-back collectives.
-    fn measure(&self) -> f64 {
-        let level = PROFILES[self.profile].level;
-        let (net, placement) = self.topo.build(level);
-        let coll = CollConfig::new().pin_all(self.op, self.sel);
-        let (op, bytes) = (self.op, self.bytes);
-        let report = Scenario::custom(net, placement, MpiImpl::Mpich2)
-            .tuning(level.tuning(MpiImpl::Mpich2))
-            .exec(ExecConfig::new().coll(coll))
-            .deadline(SimTime::from_nanos(600_000_000_000))
-            .run(move |mut ctx: RankCtx| async move {
-                for _ in 0..ROUNDS {
-                    match op {
-                        CollOp::Bcast => ctx.bcast(0, bytes).await,
-                        _ => ctx.allreduce(bytes).await,
-                    }
-                }
-            })
-            .unwrap_or_else(|e| panic!("autotune cell {} did not complete: {e:?}", self.desc()));
-        assert!(report.clean, "autotune cell {} left messages", self.desc());
-        report.elapsed.as_secs_f64()
-    }
+/// Everything the autotuner reports.
+pub struct Decisions {
+    /// One table per profile, in [`PROFILES`] order.
+    pub tables: Vec<Table>,
+    /// `profile/class: op size -> lan X vs wan4 Y` for every cell whose
+    /// winner differs between the LAN and the four-site WAN.
+    pub divergences: Vec<String>,
 }
 
-fn fnv1a64(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+fn quote(s: &str) -> String {
+    json::write(&Value::Str(s.to_string()))
 }
 
-fn load_cache(path: &PathBuf) -> BTreeMap<String, f64> {
-    let mut cache = BTreeMap::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return cache;
-    };
-    let Ok(desim::obs::json::Value::Obj(members)) = desim::obs::json::parse(&text) else {
-        return cache;
-    };
-    for (k, v) in members {
-        if let Some(secs) = v.as_f64() {
-            cache.insert(k, secs);
-        }
-    }
-    cache
-}
-
-fn save_cache(path: &PathBuf, cache: &BTreeMap<String, f64>) {
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let body: Vec<String> = cache
+/// Render the decision tables from the rows of an autotune campaign
+/// (`quick` picks the size subset). Errors name the first cell without
+/// a row.
+pub fn decide(quick: bool, rows: &[RunRow]) -> Result<Decisions, String> {
+    let elapsed: BTreeMap<&str, u64> = rows
         .iter()
-        .map(|(k, v)| format!("  {}: {v:.9e}", crate::json_str(k)))
+        .map(|r| (r.scenario.as_str(), r.elapsed_ns))
         .collect();
-    if let Err(e) = std::fs::write(path, format!("{{\n{}\n}}\n", body.join(",\n"))) {
-        eprintln!("cannot write cache {}: {e}", path.display());
-    }
-}
-
-/// `--dat DIR` if given, else the committed default.
-fn out_dir() -> PathBuf {
-    crate::DAT_DIR
-        .get()
-        .and_then(|o| o.as_ref())
-        .cloned()
-        .unwrap_or_else(|| PathBuf::from("results/dat"))
-}
-
-/// `repro autotune-coll [--quick] [--check] [--cache FILE]`.
-pub fn cmd_autotune_coll(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let cache_path = args
-        .iter()
-        .position(|a| a == "--cache")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(
-            || PathBuf::from("target/autotune_coll_cache.json"),
-            PathBuf::from,
-        );
-    let sizes: &[u64] = if quick {
-        &[1 << 10, 64 << 10, 1 << 20]
-    } else {
-        &[1 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20]
+    let secs = |cell: Cell| {
+        let key = cell.scenario_key();
+        elapsed
+            .get(key.as_str())
+            .map(|&ns| ns as f64 / 1e9)
+            .ok_or_else(|| format!("no autotune row for {key}"))
     };
-    crate::header(&format!(
-        "Collective autotuning: sweep over (algorithm x size x topology x profile), \
-         {RANKS} ranks, {} sizes{}",
-        sizes.len(),
-        if quick { " (--quick)" } else { "" }
-    ));
-
-    let mut cells: Vec<Cell> = Vec::new();
-    for profile in 0..PROFILES.len() {
-        for topo in Topo::ALL {
-            for op in [CollOp::Bcast, CollOp::Allreduce] {
-                for sel in candidates(op) {
-                    for &bytes in sizes {
-                        cells.push(Cell {
-                            profile,
-                            topo,
-                            op,
-                            sel,
-                            bytes,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    let mut cache = load_cache(&cache_path);
-    let missing: Vec<Cell> = cells
-        .iter()
-        .copied()
-        .filter(|c| !cache.contains_key(&c.key()))
-        .collect();
-    println!(
-        "{} cells ({} cached, {} to simulate) -> cache {}",
-        cells.len(),
-        cells.len() - missing.len(),
-        missing.len(),
-        cache_path.display()
-    );
-    let measured = par_map(&missing, |c| (c.key(), c.measure()));
-    for (key, secs) in measured {
-        cache.insert(key, secs);
-    }
-    save_cache(&cache_path, &cache);
-    let time_of = |c: &Cell| cache[&c.key()];
-
-    // Per-profile decision tables: winner per (op, bytes, topo).
-    let dir = out_dir();
-    let _ = std::fs::create_dir_all(&dir);
-    let mut divergences: Vec<String> = Vec::new();
-    for (pi, profile) in PROFILES.iter().enumerate() {
-        println!(
-            "\n--- profile {} ({}) ---",
-            profile.name,
-            profile.level.label()
-        );
-        println!(
-            "{:<10} {:>8} {:>6} {:>22} {:>12} {:>22}",
+    let coll_cfg = CollConfig::new();
+    let mut tables = Vec::new();
+    let mut divergences = Vec::new();
+    for (profile, level) in PROFILES {
+        let mut text = format!(
+            "{:<10} {:>8} {:>6} {:>22} {:>12} {:>22}\n",
             "op", "size", "topo", "winner", "secs", "runner-up"
         );
         let mut dat = String::from("# op bytes class topo winner secs runner_up runner_secs\n");
         let mut json_cells: Vec<String> = Vec::new();
-        let coll_cfg = CollConfig::new();
-        for op in [CollOp::Bcast, CollOp::Allreduce] {
-            for &bytes in sizes {
-                let mut winners: BTreeMap<&'static str, String> = BTreeMap::new();
-                for topo in Topo::ALL {
-                    let mut ranked: Vec<(f64, CollSel)> = candidates(op)
-                        .into_iter()
-                        .map(|sel| {
-                            (
-                                time_of(&Cell {
-                                    profile: pi,
-                                    topo,
-                                    op,
-                                    sel,
-                                    bytes,
-                                }),
-                                sel,
-                            )
-                        })
-                        .collect();
+        for op in OPS {
+            for &bytes in sizes(quick) {
+                let class = coll_cfg.size_class(bytes).name();
+                let mut winners: Vec<String> = Vec::new();
+                for (net, topo) in NETS {
+                    let mut ranked: Vec<(f64, CollSel)> = Vec::new();
+                    for sel in candidates(op) {
+                        ranked.push((secs(Cell::autotune(level, net, op, sel, bytes))?, sel));
+                    }
                     ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
                     let (best_t, best) = ranked[0];
                     let (next_t, next) = ranked[1];
-                    println!(
-                        "{:<10} {:>8} {:>6} {:>22} {:>12.6} {:>22}",
+                    text.push_str(&format!(
+                        "{:<10} {:>8} {:>6} {:>22} {:>12.6} {:>22}\n",
                         op_name(op),
                         size_label(bytes),
-                        topo.name(),
-                        sel_name(best),
+                        topo,
+                        best.name(),
                         best_t,
-                        format!("{} ({:.6})", sel_name(next), next_t)
-                    );
+                        format!("{} ({:.6})", next.name(), next_t)
+                    ));
                     dat.push_str(&format!(
                         "{} {} {} {} {} {:.9e} {} {:.9e}\n",
                         op_name(op),
                         bytes,
-                        coll_cfg.size_class(bytes).name(),
-                        topo.name(),
-                        sel_name(best),
+                        class,
+                        topo,
+                        best.name(),
                         best_t,
-                        sel_name(next),
+                        next.name(),
                         next_t
                     ));
                     let times: Vec<String> = ranked
                         .iter()
-                        .map(|(t, sel)| {
-                            format!("      {}: {t:.9e}", crate::json_str(&sel_name(*sel)))
-                        })
+                        .map(|(t, sel)| format!("      {}: {t:.9e}", quote(&sel.name())))
                         .collect();
                     json_cells.push(format!(
                         "  {{\n    \"op\": {},\n    \"bytes\": {},\n    \"class\": {},\n    \
                          \"topo\": {},\n    \"winner\": {},\n    \"times\": {{\n{}\n    }}\n  }}",
-                        crate::json_str(op_name(op)),
+                        quote(op_name(op)),
                         bytes,
-                        crate::json_str(coll_cfg.size_class(bytes).name()),
-                        crate::json_str(topo.name()),
-                        crate::json_str(&sel_name(best)),
+                        quote(class),
+                        quote(topo),
+                        quote(&best.name()),
                         times.join(",\n")
                     ));
-                    winners.insert(topo.name(), sel_name(best));
+                    winners.push(best.name());
                 }
-                if winners["lan"] != winners["wan4"] {
+                if winners[0] != winners[1] {
                     divergences.push(format!(
-                        "{}/{}: {} {} -> lan {} vs wan4 {}",
-                        profile.name,
-                        coll_cfg.size_class(bytes).name(),
+                        "{profile}/{class}: {} {} -> {} {} vs {} {}",
                         op_name(op),
                         size_label(bytes),
-                        winners["lan"],
-                        winners["wan4"]
+                        NETS[0].1,
+                        winners[0],
+                        NETS[1].1,
+                        winners[1]
                     ));
                 }
             }
         }
-        let dat_path = dir.join(format!("coll_decision_{}.dat", profile.name));
-        if let Err(e) = std::fs::write(&dat_path, &dat) {
-            eprintln!("cannot write {}: {e}", dat_path.display());
-        } else {
-            println!("wrote {}", dat_path.display());
-        }
-        let json_path = dir.join(format!("coll_decision_{}.json", profile.name));
-        let body = format!(
+        let json = format!(
             "{{\n  \"profile\": {},\n  \"ranks\": {RANKS},\n  \"rounds\": {ROUNDS},\n  \
              \"cells\": [\n{}\n  ]\n}}\n",
-            crate::json_str(profile.name),
+            quote(profile),
             json_cells.join(",\n")
         );
-        match std::fs::write(&json_path, body) {
-            Err(e) => eprintln!("cannot write {}: {e}", json_path.display()),
-            Ok(()) => println!("wrote {}", json_path.display()),
-        }
+        tables.push(Table {
+            profile,
+            level,
+            text,
+            dat,
+            json,
+        });
     }
-
-    println!("\nLAN vs WAN divergences (cells where the grid wants a different algorithm):");
-    if divergences.is_empty() {
-        println!("  none");
-    } else {
-        for d in &divergences {
-            println!("  {d}");
-        }
-    }
-    if check && divergences.is_empty() {
-        eprintln!(
-            "autotune-coll --check: no (op, size) cell picked a different winner on \
-             LAN vs the four-site WAN — the two-level/grid algorithms are not earning \
-             their keep"
-        );
-        std::process::exit(1);
-    }
+    Ok(Decisions {
+        tables,
+        divergences,
+    })
 }

@@ -22,6 +22,10 @@
 //! scenario *without changing the scenario keys*, so `repro ledger
 //! diff`/`top` can attribute the damage — fingerprints move (it is a
 //! config change) but rows still match across campaigns.
+//!
+//! The collective autotuner is one more spec ([`Spec::Autotune`]): its
+//! algorithm grid expands into ordinary cells here, and
+//! [`crate::autotune`] renders the decision tables from the rows.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -38,11 +42,12 @@ use mpisim::{
     CollAlgo, CollConfig, CollOp, CollSel, CommPattern, Engine, ExecConfig, FaultPlan, MpiImpl,
     MpiProgram, RankCtx, HEADER_BYTES,
 };
-use netsim::{grid5000_four_sites, grid5000_pair, Network, NodeId};
+use netsim::{grid5000_four_sites, grid5000_pair, Network, NodeId, Topology};
 
+use crate::autotune;
 use crate::par::par_map_with;
-use crate::scenario::Scenario;
-use crate::util::{Scope, TuningLevel};
+use crate::scenario::{pingpong_program, Scenario};
+use crate::util::{size_label, Scope, TuningLevel};
 
 /// Bump to invalidate every cached campaign result.
 const CACHE_VERSION: u32 = 1;
@@ -61,7 +66,7 @@ pub enum Workload {
         /// Round trips.
         iters: u32,
     },
-    /// `rounds` back-to-back collectives on 8 ranks.
+    /// `rounds` back-to-back collectives on every rank of the placement.
     Coll {
         /// The collective operation.
         op: CollOp,
@@ -86,8 +91,12 @@ pub enum Net {
     Grid,
     /// 8 ranks on 8 Rennes nodes (collective cells).
     Lan8,
+    /// 16 ranks on 16 Rennes nodes (autotune cells).
+    Lan16,
     /// 2 ranks on each of the four Fig. 8 sites (collective cells).
     Wan4,
+    /// 4 ranks on each of the four Fig. 8 sites (autotune cells).
+    Wan4x4,
     /// 16 ranks over the 8+8 two-site testbed (ring cells).
     Pair16,
 }
@@ -98,22 +107,54 @@ impl Net {
             Net::Cluster => "cluster",
             Net::Grid => "grid",
             Net::Lan8 => "lan8",
+            Net::Lan16 => "lan16",
             Net::Wan4 => "wan4",
+            Net::Wan4x4 => "wan4x4",
             Net::Pair16 => "pair16",
         }
     }
 
     /// True when the placement crosses a WAN link (loss applies).
     fn has_wan(self) -> bool {
-        !matches!(self, Net::Cluster | Net::Lan8)
+        !matches!(self, Net::Cluster | Net::Lan8 | Net::Lan16)
+    }
+
+    /// The network with `level`'s kernel and MPI tuning applied for
+    /// `impl_id`, before any execution knobs, faults or deadline.
+    pub fn scenario(self, level: TuningLevel, impl_id: MpiImpl) -> Scenario {
+        let custom = |mut topo: Topology, placement: Vec<NodeId>| {
+            topo.set_kernel_all(level.kernel(Some(impl_id)));
+            Scenario::custom(Network::new(topo), placement, impl_id).tuning(level.tuning(impl_id))
+        };
+        let lan = |ranks| {
+            let (topo, rn, _nn) = grid5000_pair(ranks);
+            custom(topo, rn)
+        };
+        let wan4 = |per_site| {
+            let (topo, _sites, nodes) = grid5000_four_sites(per_site);
+            custom(topo, nodes.into_iter().flatten().collect())
+        };
+        match self {
+            Net::Cluster => Scenario::pair(Scope::Cluster, level, impl_id),
+            Net::Grid => Scenario::pair(Scope::Grid, level, impl_id),
+            Net::Lan8 => lan(8),
+            Net::Lan16 => lan(16),
+            Net::Wan4 => wan4(2),
+            Net::Wan4x4 => wan4(4),
+            Net::Pair16 => {
+                let (topo, rn, nn) = grid5000_pair(8);
+                custom(topo, rn.into_iter().chain(nn).collect())
+            }
+        }
     }
 }
 
 /// One fully specified scenario run.
 #[derive(Clone, Debug)]
 pub struct Cell {
-    /// Short workload name (`pp_1m`, `bcast_64k`, …).
-    pub workload: &'static str,
+    /// Short workload name (`pp_1m`, `bcast_64k`, …). One name always
+    /// means one [`Workload`], across every spec.
+    pub workload: String,
     /// What to simulate.
     pub kind: Workload,
     /// MPI implementation profile.
@@ -124,9 +165,9 @@ pub struct Cell {
     pub net: Net,
     /// Injected WAN segment-loss rate from the spec (0 = clean).
     pub loss: f64,
-    /// Collective algorithm pin (`default`, or an algorithm name, with
-    /// `+2lvl` for the grid-aware variant).
-    pub coll: &'static str,
+    /// Collective algorithm pin for the workload's op (`None`: the
+    /// profile's own dispatch).
+    pub coll: Option<CollSel>,
     /// Execution engine.
     pub engine: Engine,
     /// PDES worker count (0 = classic single-kernel driver).
@@ -134,6 +175,31 @@ pub struct Cell {
 }
 
 impl Cell {
+    /// One autotune measurement: [`autotune::ROUNDS`] back-to-back `op`s
+    /// of `bytes` on MPICH2 with `sel` pinned.
+    pub fn autotune(level: TuningLevel, net: Net, op: CollOp, sel: CollSel, bytes: u64) -> Cell {
+        Cell {
+            workload: format!(
+                "{}_{}_x{}",
+                autotune::op_name(op),
+                size_label(bytes).to_lowercase(),
+                autotune::ROUNDS
+            ),
+            kind: Workload::Coll {
+                op,
+                bytes,
+                rounds: autotune::ROUNDS,
+            },
+            impl_id: MpiImpl::Mpich2,
+            level,
+            net,
+            loss: 0.0,
+            coll: Some(sel),
+            engine: Engine::Pooled,
+            shards: 0,
+        }
+    }
+
     /// The stable cross-campaign match key: every axis, but *not* the
     /// perturbation — perturbed and clean campaigns keep the same keys so
     /// `ledger diff`/`top` can join them.
@@ -145,7 +211,7 @@ impl Cell {
             level_key(self.level),
             self.net.key(),
             self.loss,
-            self.coll,
+            self.coll_key(),
             engine_key(self.engine),
             self.shards
         )
@@ -164,15 +230,21 @@ impl Cell {
         )
     }
 
+    /// The pin as the key renders it: `default`, or [`CollSel::name`].
+    fn coll_key(&self) -> String {
+        self.coll
+            .map_or_else(|| "default".to_string(), CollSel::name)
+    }
+
     /// The axes object embedded in the ledger row.
     fn axes(&self, perturb_loss: f64) -> Value {
         Value::Obj(vec![
-            ("workload".into(), Value::Str(self.workload.into())),
+            ("workload".into(), Value::Str(self.workload.clone())),
             ("impl".into(), Value::Str(self.impl_id.name().into())),
             ("tuning".into(), Value::Str(level_key(self.level).into())),
             ("net".into(), Value::Str(self.net.key().into())),
             ("loss".into(), Value::Num(self.loss)),
-            ("coll".into(), Value::Str(self.coll.into())),
+            ("coll".into(), Value::Str(self.coll_key())),
             ("engine".into(), Value::Str(engine_key(self.engine).into())),
             ("shards".into(), Value::Num(self.shards as f64)),
             ("perturb_loss".into(), Value::Num(perturb_loss)),
@@ -213,6 +285,11 @@ pub enum Spec {
     Quick,
     /// A 12-run subset for tests and benchmarks.
     Tiny,
+    /// The collective autotuner's grid (336 cells): profile × topology
+    /// × op × candidate algorithm × six message sizes.
+    Autotune,
+    /// The autotuner's three-size subset (168 cells), for CI.
+    AutotuneQuick,
 }
 
 impl Spec {
@@ -221,6 +298,8 @@ impl Spec {
         match name {
             "quick" => Some(Spec::Quick),
             "tiny" => Some(Spec::Tiny),
+            "autotune" => Some(Spec::Autotune),
+            "autotune-quick" => Some(Spec::AutotuneQuick),
             _ => None,
         }
     }
@@ -230,19 +309,21 @@ impl Spec {
         match self {
             Spec::Quick => "quick",
             Spec::Tiny => "tiny",
+            Spec::Autotune => "autotune",
+            Spec::AutotuneQuick => "autotune-quick",
         }
     }
 
     /// Expand the spec into its cells, in deterministic order.
     pub fn cells(self) -> Vec<Cell> {
-        let base = |workload, kind| Cell {
-            workload,
+        let base = |workload: &str, kind| Cell {
+            workload: workload.to_string(),
             kind,
             impl_id: MpiImpl::Mpich2,
             level: TuningLevel::TcpTuned,
             net: Net::Grid,
             loss: 0.0,
-            coll: "default",
+            coll: None,
             engine: Engine::Pooled,
             shards: 0,
         };
@@ -297,9 +378,9 @@ impl Spec {
                 }
                 // Collectives: workload × tuning × topology × pin
                 // (36 cells).
-                for (workload, kind, flat, two) in [
-                    ("bcast_64k", bcast_64k, "binomial", "binomial+2lvl"),
-                    ("allreduce_256k", allreduce_256k, "ring", "ring+2lvl"),
+                for (workload, kind, algo) in [
+                    ("bcast_64k", bcast_64k, CollAlgo::Binomial),
+                    ("allreduce_256k", allreduce_256k, CollAlgo::Ring),
                 ] {
                     for level in [
                         TuningLevel::Default,
@@ -307,7 +388,11 @@ impl Spec {
                         TuningLevel::FullyTuned,
                     ] {
                         for net in [Net::Lan8, Net::Wan4] {
-                            for coll in ["default", flat, two] {
+                            for coll in [
+                                None,
+                                Some(CollSel::flat(algo)),
+                                Some(CollSel::two_level(algo)),
+                            ] {
                                 cells.push(Cell {
                                     level,
                                     net,
@@ -354,7 +439,7 @@ impl Spec {
                         }
                     }
                 }
-                for coll in ["default", "binomial"] {
+                for coll in [None, Some(CollSel::flat(CollAlgo::Binomial))] {
                     cells.push(Cell {
                         net: Net::Lan8,
                         coll,
@@ -367,6 +452,19 @@ impl Spec {
                         shards,
                         ..base("ring16", ring)
                     });
+                }
+            }
+            Spec::Autotune | Spec::AutotuneQuick => {
+                for (_, level) in autotune::PROFILES {
+                    for (net, _) in autotune::NETS {
+                        for op in autotune::OPS {
+                            for sel in autotune::candidates(op) {
+                                for &bytes in autotune::sizes(self == Spec::AutotuneQuick) {
+                                    cells.push(Cell::autotune(level, net, op, sel, bytes));
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -414,74 +512,20 @@ fn simulate(cell: &Cell, perturb_loss: f64) -> SimOut {
     }
 }
 
-fn pingpong_program(bytes: u64, iters: u32) -> impl MpiProgram {
-    move |mut ctx: RankCtx| async move {
-        const TAG: u64 = 1;
-        for _ in 0..iters {
-            if ctx.rank() == 0 {
-                ctx.send(1, bytes, TAG).await;
-                ctx.recv(1, TAG).await;
-            } else {
-                ctx.recv(0, TAG).await;
-                ctx.send(0, bytes, TAG).await;
-            }
-        }
-    }
-}
-
 /// Topology + tuning + exec + faults for one cell. `loss` is the
 /// effective rate (spec axis + perturbation).
 fn scenario_for(cell: &Cell, loss: f64) -> Scenario {
-    let kernel = cell.level.kernel(Some(cell.impl_id));
-    let base = match cell.net {
-        Net::Cluster => Scenario::pair(Scope::Cluster, cell.level, cell.impl_id),
-        Net::Grid => Scenario::pair(Scope::Grid, cell.level, cell.impl_id),
-        Net::Lan8 => {
-            let (mut topo, rn, _nn) = grid5000_pair(8);
-            topo.set_kernel_all(kernel);
-            Scenario::custom(Network::new(topo), rn, cell.impl_id)
-                .tuning(cell.level.tuning(cell.impl_id))
-        }
-        Net::Wan4 => {
-            let (mut topo, _sites, nodes) = grid5000_four_sites(2);
-            topo.set_kernel_all(kernel);
-            let placement: Vec<NodeId> = nodes.into_iter().flatten().collect();
-            Scenario::custom(Network::new(topo), placement, cell.impl_id)
-                .tuning(cell.level.tuning(cell.impl_id))
-        }
-        Net::Pair16 => {
-            let (mut topo, rn, nn) = grid5000_pair(8);
-            topo.set_kernel_all(kernel);
-            let placement: Vec<NodeId> = rn.into_iter().chain(nn).collect();
-            Scenario::custom(Network::new(topo), placement, cell.impl_id)
-                .tuning(cell.level.tuning(cell.impl_id))
-        }
-    };
     let mut exec = ExecConfig::new().engine(cell.engine);
     if cell.shards > 0 {
         exec = exec.shards(cell.shards).pattern(CommPattern::SiteDisjoint);
     }
-    if cell.coll != "default" {
-        let op = match cell.kind {
-            Workload::Coll { op, .. } => op,
-            _ => unreachable!("coll pin on a non-collective workload"),
-        };
-        let (algo_name, two_level) = match cell.coll.strip_suffix("+2lvl") {
-            Some(flat) => (flat, true),
-            None => (cell.coll, false),
-        };
-        let algo = match algo_name {
-            "binomial" => CollAlgo::Binomial,
-            "ring" => CollAlgo::Ring,
-            other => panic!("unknown collective pin {other:?}"),
-        };
-        let sel = if two_level {
-            CollSel::two_level(algo)
-        } else {
-            CollSel::flat(algo)
+    if let Some(sel) = cell.coll {
+        let Workload::Coll { op, .. } = cell.kind else {
+            unreachable!("coll pin on a non-collective workload")
         };
         exec = exec.coll(CollConfig::new().pin_all(op, sel));
     }
+    let base = cell.net.scenario(cell.level, cell.impl_id);
     let mut scenario = base.exec(exec).deadline(SimTime::from_nanos(DEADLINE_NS));
     if loss > 0.0 && cell.net.has_wan() {
         // Seeded per scenario key so every cell's loss pattern is stable
@@ -648,6 +692,8 @@ pub struct CampaignReport {
     pub host_secs: f64,
     /// Campaign-level guideline outcomes `(name, pass, detail)`.
     pub guidelines: Vec<(String, bool, String)>,
+    /// The ledger's run rows, in cell order.
+    pub rows: Vec<RunRow>,
 }
 
 impl CampaignReport {
@@ -868,6 +914,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
         cache_hits,
         host_secs,
         guidelines,
+        rows: rows.into_iter().map(|(_, row, _)| row).collect(),
     })
 }
 
@@ -1034,6 +1081,46 @@ mod tests {
         let keys: std::collections::BTreeSet<String> =
             cells.iter().map(Cell::scenario_key).collect();
         assert_eq!(keys.len(), cells.len());
+    }
+
+    #[test]
+    fn autotune_specs_expand_the_full_grid_with_unique_keys() {
+        for (spec, expected) in [(Spec::AutotuneQuick, 168), (Spec::Autotune, 336)] {
+            let cells = spec.cells();
+            assert_eq!(cells.len(), expected, "{spec:?}");
+            let keys: std::collections::BTreeSet<String> =
+                cells.iter().map(Cell::scenario_key).collect();
+            assert_eq!(keys.len(), cells.len(), "duplicate keys in {spec:?}");
+        }
+    }
+
+    #[test]
+    fn quick_spec_keys_match_the_benchmark_reference() {
+        // The benchmark pins every quick cell by scenario key; a renamed
+        // key would orphan its reference row.
+        let pinned: std::collections::BTreeSet<&str> =
+            include_str!("../../../simbench/reference/outputs.txt")
+                .lines()
+                .filter_map(|l| l.strip_prefix("cell "))
+                .filter_map(|l| l.split(' ').next())
+                .collect();
+        assert_eq!(pinned.len(), 117);
+        let keys: std::collections::BTreeSet<String> =
+            Spec::Quick.cells().iter().map(Cell::scenario_key).collect();
+        let keys: std::collections::BTreeSet<&str> = keys.iter().map(String::as_str).collect();
+        assert_eq!(keys, pinned);
+    }
+
+    #[test]
+    fn a_workload_name_means_one_workload_across_specs() {
+        let mut seen: BTreeMap<String, String> = BTreeMap::new();
+        for spec in [Spec::Quick, Spec::Tiny, Spec::Autotune] {
+            for cell in spec.cells() {
+                let kind = format!("{:?}", cell.kind);
+                let prev = seen.entry(cell.workload.clone()).or_insert(kind.clone());
+                assert_eq!(*prev, kind, "workload {} is two workloads", cell.workload);
+            }
+        }
     }
 
     #[test]

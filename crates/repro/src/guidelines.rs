@@ -15,6 +15,7 @@ use mpisim::{
     RankCtx,
 };
 use netsim::Grid5000Site;
+use repro::campaign::Net;
 
 use crate::pingpong::{pingpong, Stack};
 use crate::scenario::Scenario;
@@ -226,9 +227,8 @@ fn blame_rndv_handshake() -> Result<String, String> {
 /// Virtual elapsed seconds for `program` on the tuned 16-rank testbed
 /// (LAN cluster or four-site WAN), with `coll` pinning algorithms.
 fn coll_elapsed(wan: bool, coll: CollConfig, program: impl MpiProgram) -> f64 {
-    let (net, placement) = crate::autotune::testbed(wan);
-    Scenario::custom(net, placement, MpiImpl::Mpich2)
-        .tuning(TuningLevel::FullyTuned.tuning(MpiImpl::Mpich2))
+    let net = if wan { Net::Wan4x4 } else { Net::Lan16 };
+    net.scenario(TuningLevel::FullyTuned, MpiImpl::Mpich2)
         .exec(ExecConfig::new().coll(coll))
         .deadline(SimTime::from_nanos(600_000_000_000))
         .run(program)

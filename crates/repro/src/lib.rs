@@ -8,6 +8,8 @@
 //!   every experiment.
 //! - [`scenario`] — the one builder that assembles topology → tuning →
 //!   faults → observability → run.
+//! - [`autotune`] — the collective autotuner's candidate grid and its
+//!   decision-table rendering over campaign rows.
 //! - [`campaign`] — the sweep engine: expands a declarative spec into
 //!   scenario runs with digest-keyed caching and writes the run ledger.
 //! - [`ledger`] — cross-run analysis over ledgers: `diff`, `top`,
@@ -16,6 +18,7 @@
 //! The table/figure subcommands stay in the binary; everything here is
 //! deliberately free of CLI state (no `--dat` globals, no `exit`).
 
+pub mod autotune;
 pub mod campaign;
 pub mod ledger;
 pub mod par;

@@ -4,7 +4,6 @@
 
 mod ablation;
 mod analysis;
-mod autotune;
 mod blame;
 mod faults;
 mod g2;
@@ -48,7 +47,7 @@ static METRICS_OUT: OnceLock<Option<std::path::PathBuf>> = OnceLock::new();
 
 /// When `--trace-out` or `--metrics` was given, a ring sink (with an
 /// attached metrics registry) to hang on a job via
-/// [`mpisim::MpiJob::with_recorder`]. Commands that support observability
+/// [`mpisim::MpiJob::with_obs`]. Commands that support observability
 /// call this, run, then hand the pair to [`write_obs`].
 pub(crate) fn obs_sink() -> Option<(
     std::sync::Arc<desim::RingSink>,
@@ -179,7 +178,7 @@ fn main() {
         "blame" => blame::cmd_blame(&args[1..]),
         "profile" => profile::cmd_profile(&args[1..]),
         "timeline" => profile::cmd_timeline(&args[1..]),
-        "autotune-coll" => autotune::cmd_autotune_coll(&args[1..]),
+        "autotune-coll" => ledgercli::cmd_autotune_coll(&args[1..]),
         "golden" => golden::cmd_golden(&args),
         "guidelines" => guidelines::cmd_guidelines(&args[1..]),
         "campaign" => ledgercli::cmd_campaign(&args[1..]),
@@ -226,7 +225,7 @@ fn main() {
                  autotune-coll [--quick] [--check] [--cache FILE]|\
                  golden <record|check> [--dir DIR]|\
                  guidelines [NAME ...] [--format text|json]|\
-                 campaign [--spec quick|tiny] [--label NAME] [--ledger-dir DIR] \
+                 campaign [--spec quick|tiny|autotune|autotune-quick] [--label NAME] [--ledger-dir DIR] \
                  [--cache FILE] [--perturb loss[=RATE]] [--no-heartbeat] \
                  [--min-cache-hits PCT]|\
                  ledger <diff OLD NEW [--threshold PCT]|\

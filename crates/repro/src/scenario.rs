@@ -11,7 +11,7 @@ use std::sync::Arc;
 use desim::fault::FaultPlan;
 use desim::obs::Obs;
 use desim::{SimError, SimTime};
-use mpisim::{ExecConfig, ImplProfile, MpiImpl, MpiJob, MpiProgram, RunReport, Tuning};
+use mpisim::{ExecConfig, ImplProfile, MpiImpl, MpiJob, MpiProgram, RankCtx, RunReport, Tuning};
 use netsim::{grid5000_four_sites, Grid5000Site, KernelConfig, Network, NodeId};
 
 use crate::util::{npb_placement, pair_endpoints, Scope, TuningLevel};
@@ -189,5 +189,22 @@ impl Scenario {
             job = job.with_faults(plan);
         }
         job.run(program)
+    }
+}
+
+/// `iters` round trips of `bytes` between ranks 0 and 1: the ping-pong
+/// program the campaign, blame and profile scenarios share.
+pub fn pingpong_program(bytes: u64, iters: u32) -> impl MpiProgram {
+    move |mut ctx: RankCtx| async move {
+        const TAG: u64 = 1;
+        for _ in 0..iters {
+            if ctx.rank() == 0 {
+                ctx.send(1, bytes, TAG).await;
+                ctx.recv(1, TAG).await;
+            } else {
+                ctx.recv(0, TAG).await;
+                ctx.send(0, bytes, TAG).await;
+            }
+        }
     }
 }

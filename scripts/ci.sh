@@ -32,7 +32,8 @@
 #           the selectable collective-algorithm suite: every algorithm
 #           is semantically equivalent to the baseline (property test),
 #           tags never collide across ops (regression), a quick
-#           autotune sweep finds a LAN/WAN algorithm divergence, and
+#           autotune sweep finds a LAN/WAN algorithm divergence and
+#           replays from its cache with identical decision tables, and
 #           the four collective guidelines hold, each named in output
 #   campaign
 #           the sweep engine and run ledger: a quick campaign runs
@@ -212,11 +213,22 @@ stage_collectives() {
     # collective tags never collide across op kinds.
     cargo test -q --offline -p mpisim --test coll_equivalence
     cargo test -q --offline -p mpisim --test coll_tag_regression
-    # Autotune sweep smoke: the quick grid must run end to end and find
-    # at least one (op, size class) whose winning algorithm differs
-    # between the LAN and the four-site WAN (--check enforces that).
+    # Autotune sweep smoke: the quick grid runs through the campaign
+    # runner and must find at least one (op, size class) whose winning
+    # algorithm differs between the LAN and the four-site WAN (--check
+    # enforces that). A second run over the same cache must simulate
+    # nothing and write byte-identical decision tables.
+    rm -rf target/ci_autotune
+    mkdir -p target/ci_autotune
     ./target/release/repro autotune-coll --quick --check \
-        --cache target/autotune_coll_cache.json
+        --cache target/ci_autotune/cache.json --dat target/ci_autotune/cold
+    ./target/release/repro autotune-coll --quick --check \
+        --cache target/ci_autotune/cache.json --dat target/ci_autotune/warm \
+        >target/ci_autotune/warm.txt
+    grep -q "(168 cached, 0 simulated)" target/ci_autotune/warm.txt
+    for _f in target/ci_autotune/cold/coll_decision_*; do
+        cmp "$_f" "target/ci_autotune/warm/$(basename "$_f")"
+    done
     # The four collective guidelines, each named in stage output. A
     # violated guideline fails the stage with its name on the FAIL line.
     ./target/release/repro guidelines \
