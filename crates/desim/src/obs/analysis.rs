@@ -1048,6 +1048,12 @@ mod tests {
     }
 
     #[test]
+    fn inverted_spans_count_as_zero_seconds() {
+        let a = Analysis::from_events(&[span(0, "compute", 0, 100, 40, 0)], 64);
+        assert_eq!(a.ranks[0].compute_secs, 0.0);
+    }
+
+    #[test]
     fn late_receiver_is_charged_to_the_wait() {
         // Rank 0's rendezvous send blocks from t=0; the receive is only
         // posted at t=80.

@@ -1,6 +1,7 @@
 //! Exporters for recorded event streams: JSON lines (one event per line,
-//! matching the bench binary's hand-rolled style) and the Chrome
-//! trace-event format understood by Perfetto / `chrome://tracing`.
+//! matching the bench binary's hand-rolled style), the Chrome
+//! trace-event format understood by Perfetto / `chrome://tracing`, and
+//! an ASCII space-time diagram of the MPI spans.
 
 use super::Event;
 
@@ -361,6 +362,63 @@ pub fn chrome_trace_with_drops(events: &[Event], dropped: u64) -> String {
     out
 }
 
+/// Render the [`Event::MpiSpan`]s of a stream as an ASCII space-time
+/// diagram: one row per rank, `width` columns over `[t0, t1]`; `C`
+/// compute, `s` send/wait, `r` receive, `A` collective, `.` idle.
+/// Other events are ignored.
+pub fn ascii_timeline(
+    events: &[Event],
+    ranks: usize,
+    t0_ns: u64,
+    t1_ns: u64,
+    width: usize,
+) -> Vec<String> {
+    if width == 0 || t1_ns <= t0_ns {
+        // A zero-width canvas or an empty/inverted window has nothing to
+        // paint (and `width - 1` below would underflow).
+        return vec![String::new(); ranks];
+    }
+    let span = (t1_ns.saturating_sub(t0_ns)).max(1) as f64;
+    let mut rows = vec![vec!['.'; width]; ranks];
+    // (priority, start, rank, end, cell). Paint in priority order:
+    // collectives under p2p under compute, so the densest information
+    // wins ties within a cell; within a priority, by start then rank.
+    let mut spans: Vec<(u8, u64, usize, u64, char)> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::MpiSpan {
+                rank,
+                op,
+                start_ns,
+                end_ns,
+                ..
+            } => {
+                let (prio, c) = match *op {
+                    "compute" => (2, 'C'),
+                    "send" | "wait_send" => (1, 's'),
+                    "recv" => (1, 'r'),
+                    _ => (0, 'A'),
+                };
+                Some((prio, *start_ns, *rank as usize, *end_ns, c))
+            }
+            _ => None,
+        })
+        .collect();
+    // Stable: spans equal in (priority, start, rank) keep stream order.
+    spans.sort_by_key(|&(prio, start, rank, ..)| (prio, start, rank));
+    for (_, start, rank, end, c) in spans {
+        if rank >= ranks || end < t0_ns || start > t1_ns {
+            continue;
+        }
+        let a = ((start.max(t0_ns) - t0_ns) as f64 / span * width as f64) as usize;
+        let b = ((end.min(t1_ns) - t0_ns) as f64 / span * width as f64) as usize;
+        for cell in &mut rows[rank][a.min(width - 1)..=b.min(width - 1)] {
+            *cell = c;
+        }
+    }
+    rows.into_iter().map(|r| r.into_iter().collect()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,5 +524,53 @@ mod tests {
         assert_eq!(json_f64(f64::NEG_INFINITY), "null");
         assert_eq!(json_f64(2.0), "2.0");
         assert_eq!(json_f64(2.5), "2.5");
+    }
+
+    fn span(rank: u64, op: &'static str, a: u64, b: u64) -> Event {
+        Event::MpiSpan {
+            rank,
+            op,
+            peer: -1,
+            bytes: 0,
+            start_ns: a,
+            end_ns: b,
+            msg_id: 0,
+        }
+    }
+
+    #[test]
+    fn timeline_paints_rows() {
+        let events = vec![
+            span(0, "compute", 0, 50),
+            span(0, "recv", 50, 100),
+            span(1, "barrier", 0, 100),
+        ];
+        let rows = ascii_timeline(&events, 2, 0, 100, 10);
+        assert_eq!(rows.len(), 2);
+        assert!(rows[0].starts_with('C'));
+        assert!(rows[0].ends_with('r'));
+        assert!(rows[1].chars().all(|c| c == 'A'));
+    }
+
+    #[test]
+    fn timeline_clips_out_of_range_events() {
+        let events = vec![span(0, "compute", 200, 300)];
+        let rows = ascii_timeline(&events, 1, 0, 100, 10);
+        assert!(rows[0].chars().all(|c| c == '.'));
+    }
+
+    #[test]
+    fn timeline_degenerate_inputs_yield_empty_rows() {
+        let events = vec![span(0, "compute", 0, 50)];
+        // width == 0 used to underflow `width - 1` in the slice bound.
+        let rows = ascii_timeline(&events, 2, 0, 100, 0);
+        assert_eq!(rows, vec![String::new(), String::new()]);
+        // Empty window (t1 == t0) and inverted window (t1 < t0).
+        let rows = ascii_timeline(&events, 1, 100, 100, 10);
+        assert_eq!(rows, vec![String::new()]);
+        let rows = ascii_timeline(&events, 1, 100, 50, 10);
+        assert_eq!(rows, vec![String::new()]);
+        // No ranks: no rows, still no panic.
+        assert!(ascii_timeline(&events, 0, 0, 100, 0).is_empty());
     }
 }

@@ -96,7 +96,8 @@ pub enum Event {
         delivered_bytes: f64,
     },
     /// One MPI operation span on one rank (compute, send, recv, wait,
-    /// collective), mirroring `mpisim::trace`.
+    /// collective): the per-operation log of the paper's instrumented
+    /// MPI implementation (§3.1).
     MpiSpan {
         /// Acting rank.
         rank: u64,

@@ -118,8 +118,6 @@ pub struct MpiJob {
     pub profile: ImplProfile,
     /// Tuning overrides (§4.2).
     pub tuning: Tuning,
-    /// Record per-operation trace spans into the run report.
-    pub tracing: bool,
     /// Observability configuration (recorder + host profiler), consumed
     /// once at run start and attached to the network, the kernel(s), and
     /// every rank for the duration of the run.
@@ -144,7 +142,6 @@ impl MpiJob {
             placement,
             profile: impl_id.profile(),
             tuning: Tuning::none(),
-            tracing: false,
             obs: Obs::none(),
             deadline: None,
             faults: None,
@@ -175,12 +172,6 @@ impl MpiJob {
     /// Replace the whole profile (custom models).
     pub fn with_profile(mut self, profile: ImplProfile) -> MpiJob {
         self.profile = profile;
-        self
-    }
-
-    /// Enable per-operation tracing (see [`crate::trace`]).
-    pub fn with_tracing(mut self) -> MpiJob {
-        self.tracing = true;
         self
     }
 
@@ -315,7 +306,6 @@ impl MpiJob {
             self.profile,
             self.tuning,
             self.exec.coll,
-            self.tracing,
             self.obs.recorder.clone(),
         );
         let program = Arc::new(program);
@@ -374,21 +364,11 @@ impl MpiJob {
             .collect();
         let stats = world.stats.lock().clone();
         let records = world.records.lock().clone();
-        let trace = world
-            .trace
-            .as_ref()
-            .map(|t| {
-                let mut v = t.lock().clone();
-                v.sort_by_key(|e| (e.start_ns, e.rank));
-                v
-            })
-            .unwrap_or_default();
         let report = RunReport {
             elapsed: end.since(SimTime::ZERO),
             per_rank,
             stats,
             records,
-            trace,
             clean: world.quiescent(),
         };
         if let Some((p, _, _, collect)) = &prof {
@@ -428,10 +408,14 @@ impl MpiJob {
             let topo = self.net.with_topology(|t| t.clone());
             nets.push(Network::with_stack_overhead(topo, stack));
         }
+        // Every group follows the caller's fast-path setting, pinned on
+        // its network or by `exec.fast_path`.
+        let fast_path = self
+            .exec
+            .fast_path
+            .unwrap_or_else(|| self.net.bulk_fast_path());
         for net in &nets {
-            if let Some(on) = self.exec.fast_path {
-                net.set_bulk_fast_path(on);
-            }
+            net.set_bulk_fast_path(fast_path);
             if let Some(plan) = &self.faults {
                 net.install_faults(plan);
             }
@@ -481,7 +465,6 @@ impl MpiJob {
             self.profile,
             self.tuning,
             self.exec.coll,
-            self.tracing,
             obs_groups,
             Some(sharded.cross()),
         );
@@ -579,21 +562,11 @@ impl MpiJob {
         // own pushes are already serial).
         let mut records = world.records.lock().clone();
         records.sort_by_key(|r| r.0);
-        let trace = world
-            .trace
-            .as_ref()
-            .map(|t| {
-                let mut v = t.lock().clone();
-                v.sort_by_key(|e| (e.start_ns, e.rank));
-                v
-            })
-            .unwrap_or_default();
         let report = RunReport {
             elapsed,
             per_rank,
             stats,
             records,
-            trace,
             clean: world.quiescent(),
         };
         if let Some((p, _, _, collect)) = &prof {
@@ -615,8 +588,6 @@ pub struct RunReport {
     pub stats: CommStats,
     /// Named measurements emitted by ranks via [`RankCtx::record`].
     pub records: Vec<(usize, String, f64)>,
-    /// Traced spans (empty unless [`MpiJob::with_tracing`] was used).
-    pub trace: Vec<crate::trace::TraceEvent>,
     /// True if no posted receives or unexpected messages were left behind
     /// (a well-formed program drains everything).
     pub clean: bool,

@@ -1,8 +1,11 @@
-//! Tests for the extension surfaces: tracing, extended profiles,
+//! Tests for the extension surfaces: operation spans, extended profiles,
 //! parallel streams, and statistics matrices.
 
-use mpisim::trace::{TraceKind, TraceSummary};
-use mpisim::{MpiImpl, MpiJob, RankCtx};
+use std::sync::Arc;
+
+use desim::obs::analysis::{Analysis, Collector};
+use desim::obs::{Event, Obs};
+use mpisim::{MpiImpl, MpiJob, RankCtx, HEADER_BYTES};
 use netsim::{grid5000_pair, KernelConfig, Network, NodeId};
 
 fn grid(nodes_per_site: usize) -> (Network, Vec<NodeId>) {
@@ -14,10 +17,11 @@ fn grid(nodes_per_site: usize) -> (Network, Vec<NodeId>) {
 }
 
 #[test]
-fn tracing_captures_all_activity_kinds() {
+fn spans_capture_all_activity_kinds() {
     let (net, placement) = grid(1);
-    let report = MpiJob::new(net, placement, MpiImpl::Mpich2)
-        .with_tracing()
+    let col = Arc::new(Collector::new());
+    MpiJob::new(net, placement, MpiImpl::Mpich2)
+        .with_obs(Obs::none().recorder(col.clone()))
         .run(|mut ctx: RankCtx| async move {
             ctx.compute_gflop(0.1).await;
             if ctx.rank() == 0 {
@@ -28,33 +32,35 @@ fn tracing_captures_all_activity_kinds() {
             ctx.barrier().await;
         })
         .unwrap();
-    assert!(!report.trace.is_empty());
-    let kinds: Vec<&TraceKind> = report.trace.iter().map(|e| &e.kind).collect();
-    assert!(kinds.contains(&&TraceKind::Compute));
-    assert!(kinds.contains(&&TraceKind::Send));
-    assert!(kinds.contains(&&TraceKind::Recv));
-    assert!(kinds
+    let events = col.events();
+    let spans: Vec<(u64, &str, i64, u64)> = events
         .iter()
-        .any(|k| matches!(k, TraceKind::Collective("barrier"))));
-    // Spans are well-formed and the summary accounts for both ranks.
-    for e in &report.trace {
-        assert!(e.end_ns >= e.start_ns);
-    }
-    let summary = TraceSummary::from_events(&report.trace, 2);
-    assert!(summary.per_rank[0].compute_secs > 0.0);
-    assert!(summary.per_rank[1].p2p_secs > 0.0);
-    assert_eq!(summary.top_pairs[0], (0, 1, 1000));
-}
-
-#[test]
-fn tracing_off_leaves_report_empty() {
-    let (net, placement) = grid(1);
-    let report = MpiJob::new(net, placement, MpiImpl::Mpich2)
-        .run(|mut ctx: RankCtx| async move {
-            ctx.barrier().await;
+        .filter_map(|e| match e {
+            Event::MpiSpan {
+                rank,
+                op,
+                peer,
+                bytes,
+                start_ns,
+                end_ns,
+                ..
+            } => {
+                // Spans are well-formed.
+                assert!(end_ns >= start_ns);
+                Some((*rank, *op, *peer, *bytes))
+            }
+            _ => None,
         })
-        .unwrap();
-    assert!(report.trace.is_empty());
+        .collect();
+    for op in ["compute", "send", "recv", "barrier"] {
+        assert!(spans.iter().any(|s| s.1 == op), "no {op} span");
+    }
+    // The send span names its peer and payload; the breakdown accounts
+    // for both ranks.
+    assert!(spans.contains(&(0, "send", 1, 1000)));
+    let ranks = Analysis::from_events(&events, HEADER_BYTES).ranks;
+    assert!(ranks[0].compute_secs > 0.0);
+    assert!(ranks[1].recv_secs > 0.0);
 }
 
 #[test]

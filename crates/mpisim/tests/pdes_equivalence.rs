@@ -12,7 +12,8 @@
 
 use std::sync::Arc;
 
-use desim::obs::Obs;
+use desim::obs::analysis::Collector;
+use desim::obs::{Event, Obs};
 use desim::prop::forall;
 use desim::{DigestSink, DigestValue, Recorder, SimDuration};
 use mpisim::{CommPattern, Engine, ExecConfig, MpiImpl, MpiJob, RankCtx};
@@ -229,4 +230,51 @@ fn digest_is_invariant_under_worker_count() {
             );
         }
     });
+}
+
+/// A network pinned to the per-round model reaches every PDES group, as
+/// `ExecConfig::fast_path(false)` does: `exec.fast_path: None` means
+/// "the network's setting", not "group 0 follows it, the rest default".
+#[test]
+fn a_network_fast_path_pin_reaches_every_group() {
+    let kernel_events = |pin_net: bool| -> Vec<u64> {
+        let (topo, a, b) = netsim::grid5000_pair(1);
+        let net = Network::new(topo);
+        let mut exec = ExecConfig::new()
+            .shards(2)
+            .pattern(CommPattern::SiteDisjoint);
+        if pin_net {
+            net.set_bulk_fast_path(false);
+        } else {
+            exec = exec.fast_path(false);
+        }
+        let col = Arc::new(Collector::new());
+        MpiJob::new(net, vec![a[0], b[0]], MpiImpl::Mpich2)
+            .with_obs(Obs::none().recorder(col.clone()))
+            .with_exec(exec)
+            .run(|mut ctx: RankCtx| async move {
+                // Bulk transfers from both sites: each group's own
+                // network carries one of the two directions.
+                const TAG: u64 = 1;
+                let peer = 1 - ctx.rank();
+                for turn in 0..2 {
+                    if ctx.rank() == turn {
+                        ctx.send(peer, 8 << 20, TAG).await;
+                    } else {
+                        ctx.recv(peer, TAG).await;
+                    }
+                }
+            })
+            .expect("run succeeds");
+        col.events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::KernelRun { events, .. } => Some(*events),
+                _ => None,
+            })
+            .collect()
+    };
+    let exec_pinned = kernel_events(false);
+    assert_eq!(exec_pinned.len(), 2, "one kernel run per group");
+    assert_eq!(kernel_events(true), exec_pinned);
 }

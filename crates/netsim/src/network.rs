@@ -53,6 +53,11 @@ impl Network {
         self.state.lock().fast_enabled = enabled;
     }
 
+    /// Whether the bulk-transfer fast path is enabled.
+    pub fn bulk_fast_path(&self) -> bool {
+        self.state.lock().fast_enabled
+    }
+
     /// Attach observability per the given [`desim::obs::Obs`] config:
     /// the recorder receives [`desim::obs::Event`]s for flow
     /// starts/finishes, per-round TCP congestion samples (materialized

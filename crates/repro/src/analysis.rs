@@ -1,18 +1,24 @@
 //! Analysis experiments built on the instrumentation subsystems: traces,
 //! link utilization, placement optimisation, and application scaling.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use desim::obs::analysis::{Analysis, Collector, RankProfile};
+use desim::obs::export::ascii_timeline;
+use desim::obs::{Event, Obs, Recorder, Tee};
 use gridapps::Ray2MeshConfig;
-use mpisim::trace::{ascii_timeline, TraceSummary};
-use mpisim::{MpiImpl, MpiJob};
+use mpisim::{MpiImpl, MpiJob, HEADER_BYTES};
 use netsim::{grid5000_four_sites, KernelConfig, Network};
 use npb::{NasBenchmark, NasClass, NasRun};
 use placer::{optimize_master, CommProfile};
 
 use crate::util::{npb_placement, TuningLevel};
 
-/// `repro trace <BENCH>`: run one kernel with tracing on the 8+8 grid and
-/// print the per-rank activity breakdown, hot pairs, and a space-time
-/// diagram of the first timed iterations.
+/// `repro trace <BENCH>`: run one kernel on the 8+8 grid, collect its
+/// MPI spans from the observability stream, and print the per-rank
+/// activity breakdown, hot pairs, and a space-time diagram of the first
+/// timed iterations.
 pub fn cmd_trace(bench: NasBenchmark) {
     crate::header(&format!(
         "Trace: {} class A, 8+8 grid, GridMPI — per-rank activity",
@@ -23,42 +29,76 @@ pub fn cmd_trace(bench: NasBenchmark) {
     let ranks = placement.len();
     let run = NasRun::quick(bench, NasClass::A);
     let obs = crate::obs_sink();
-    let mut job = MpiJob::new(net, placement, MpiImpl::GridMpi)
+    let col = Arc::new(Collector::new());
+    let rec: Arc<dyn Recorder> = match &obs {
+        Some((sink, _)) => Arc::new(Tee::new(vec![col.clone(), sink.clone()])),
+        None => col.clone(),
+    };
+    let report = MpiJob::new(net, placement, MpiImpl::GridMpi)
         .with_tuning(level.tuning(MpiImpl::GridMpi))
-        .with_tracing();
-    if let Some((sink, _)) = &obs {
-        job = job.with_obs(desim::obs::Obs::none().recorder(sink.clone()));
-    }
-    let report = job.run(run.program()).expect("traced run completes");
+        .with_obs(Obs::none().recorder(rec))
+        .run(run.program())
+        .expect("traced run completes");
     if let Some((sink, metrics)) = &obs {
         crate::write_obs(sink, metrics);
     }
-    let summary = TraceSummary::from_events(&report.trace, ranks);
+    let events = col.events();
+    let mut per_rank = vec![RankProfile::default(); ranks];
+    for p in Analysis::from_events(&events, HEADER_BYTES).ranks {
+        let r = p.rank as usize;
+        per_rank[r] = p;
+    }
+    // Application payloads by sender and by directed pair, from the
+    // `send` spans (collective-internal traffic is not among them).
+    let mut bytes_sent = vec![0u64; ranks];
+    let mut pairs: BTreeMap<(u64, i64), u64> = BTreeMap::new();
+    let mut spans = 0usize;
+    for e in &events {
+        if let Event::MpiSpan {
+            rank,
+            op,
+            peer,
+            bytes,
+            ..
+        } = e
+        {
+            spans += 1;
+            if *op == "send" {
+                bytes_sent[*rank as usize] += bytes;
+                *pairs.entry((*rank, *peer)).or_insert(0) += bytes;
+            }
+        }
+    }
     println!(
         "{:>5} {:>12} {:>12} {:>12} {:>14}",
         "rank", "compute (s)", "p2p (s)", "coll (s)", "bytes sent"
     );
-    for (r, b) in summary.per_rank.iter().enumerate() {
+    for (r, p) in per_rank.iter().enumerate() {
         println!(
             "{r:>5} {:>12.4} {:>12.4} {:>12.4} {:>14}",
-            b.compute_secs, b.p2p_secs, b.collective_secs, b.bytes_sent
+            p.compute_secs,
+            p.send_secs + p.recv_secs + p.wait_send_secs,
+            p.collective_secs,
+            bytes_sent[r]
         );
     }
-    if !summary.top_pairs.is_empty() {
+    if !pairs.is_empty() {
+        let mut top: Vec<((u64, i64), u64)> = pairs.into_iter().collect();
+        top.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
         println!("\nbusiest directed pairs:");
-        for &(a, b, n) in summary.top_pairs.iter().take(5) {
+        for ((a, b), n) in top.into_iter().take(5) {
             println!("  rank {a:>2} -> rank {b:>2}: {n} bytes");
         }
     }
     let t1 = report.elapsed.as_nanos();
     println!("\nspace-time diagram (C compute, s send, r recv, A collective, . idle):");
-    for (r, row) in ascii_timeline(&report.trace, ranks, 0, t1, 72)
+    for (r, row) in ascii_timeline(&events, ranks, 0, t1, 72)
         .into_iter()
         .enumerate()
     {
         println!("rank {r:>2} |{row}|");
     }
-    println!("({} traced events over {})", summary.events, report.elapsed);
+    println!("({spans} traced events over {})", report.elapsed);
 }
 
 /// `repro utilization`: WAN bytes moved by each implementation for the

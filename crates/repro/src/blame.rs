@@ -21,6 +21,7 @@ use mpisim::{FaultPlan, MpiImpl, MpiProgram, RankCtx, HEADER_BYTES};
 use netsim::Grid5000Site;
 use npb::{NasBenchmark, NasClass, NasRun};
 
+use crate::ledgercli::{arg, flag_value, positionals};
 use crate::scenario::{pingpong_program, Scenario};
 use crate::util::{Scope, TuningLevel};
 
@@ -370,34 +371,12 @@ fn dat_lines(sections: &[Section]) -> String {
 /// `repro blame <pingpong|nas|ray2mesh|faults> [--trace-in FILE]
 /// [--emit-events FILE] [--format text|json|dat]`.
 pub fn cmd_blame(args: &[String]) {
-    let mut scenario: Option<&str> = None;
-    let mut format = "text";
-    let mut trace_in: Option<&str> = None;
-    let mut emit: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                format = args.get(i + 1).map(String::as_str).unwrap_or("text");
-                i += 2;
-            }
-            "--trace-in" => {
-                trace_in = args.get(i + 1).map(String::as_str);
-                i += 2;
-            }
-            "--emit-events" => {
-                emit = args.get(i + 1).map(String::as_str);
-                i += 2;
-            }
-            // Global flags main() already consumed; skip their values.
-            "--dat" | "--trace-out" | "--metrics" => i += 2,
-            s if !s.starts_with('-') && scenario.is_none() => {
-                scenario = Some(s);
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
+    let scenario = positionals(args, &["--format", "--trace-in", "--emit-events"])
+        .first()
+        .copied();
+    let format = arg(flag_value(args, "--format")).unwrap_or("text");
+    let trace_in = arg(flag_value(args, "--trace-in"));
+    let emit = arg(flag_value(args, "--emit-events"));
     if !matches!(format, "text" | "json" | "dat") {
         eprintln!("unknown --format {format:?} (want text|json|dat)");
         std::process::exit(2);

@@ -37,6 +37,7 @@ use mpisim::{
 use netsim::{grid5000_four_sites, Grid5000Site, KernelConfig, Network};
 use npb::{NasBenchmark, NasClass, NasRun};
 
+use crate::ledgercli::{arg, flag_value};
 use crate::scenario::Scenario;
 use crate::util::{Scope, TuningLevel};
 
@@ -380,24 +381,18 @@ fn read_record(dir: &Path, scenario: &str) -> Result<StoredRecord, String> {
 /// `repro golden record|check [--dir DIR] [--pdes N]`.
 pub fn cmd_golden(args: &[String]) {
     let mode = args.get(1).map(String::as_str);
-    let pdes: Option<u32> = args.iter().position(|a| a == "--pdes").map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--pdes needs a worker count");
-                std::process::exit(2);
-            })
+    let pdes: Option<u32> = arg(flag_value(args, "--pdes")).map(|v| {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("--pdes needs a worker count");
+            std::process::exit(2);
+        })
     });
     let default_dir = if pdes.is_some() {
         "results/golden/pdes"
     } else {
         "results/golden"
     };
-    let dir = args
-        .iter()
-        .position(|a| a == "--dir")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(|| PathBuf::from(default_dir), PathBuf::from);
+    let dir = PathBuf::from(arg(flag_value(args, "--dir")).unwrap_or(default_dir));
     let exec = match pdes {
         Some(n) => ExecConfig::new().shards(n),
         None => ExecConfig::new(),

@@ -17,6 +17,7 @@ use mpisim::{
 use netsim::Grid5000Site;
 use repro::campaign::Net;
 
+use crate::ledgercli::{arg, flag_value, positionals};
 use crate::pingpong::{pingpong, Stack};
 use crate::scenario::Scenario;
 use crate::util::{size_label, Scope, TuningLevel};
@@ -478,12 +479,7 @@ const GUIDELINES: &[Guideline] = &[
 /// `{name, claim, pass, detail}` objects instead of the text table (the
 /// exit code still reflects failures).
 pub fn cmd_guidelines(args: &[String]) {
-    let json = match args
-        .iter()
-        .position(|a| a == "--format")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
+    let json = match arg(flag_value(args, "--format")) {
         None | Some("text") => false,
         Some("json") => true,
         Some(other) => {
@@ -491,22 +487,7 @@ pub fn cmd_guidelines(args: &[String]) {
             std::process::exit(2);
         }
     };
-    let mut skip_next = false;
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--format" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with('-')
-        })
-        .map(String::as_str)
-        .collect();
+    let wanted = positionals(args, &["--format"]);
     for w in &wanted {
         if !GUIDELINES.iter().any(|g| g.name == *w) {
             eprintln!("unknown guideline {w:?}");

@@ -10,7 +10,7 @@ use repro::ledger;
 
 /// The value after `flag`, if the flag is given. A flag with nothing
 /// after it is an error, not a silent fallback to the default.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
+pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
     match args.iter().position(|a| a == flag) {
         None => Ok(None),
         Some(i) => match args.get(i + 1) {
@@ -18,6 +18,25 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, Str
             None => Err(format!("{flag} needs a value")),
         },
     }
+}
+
+/// Flags every command accepts, each taking a value (read by `main`).
+const GLOBAL_FLAGS: [&str; 3] = ["--dat", "--trace-out", "--metrics"];
+
+/// The arguments that are neither flags nor flag values: each flag in
+/// `valued` or [`GLOBAL_FLAGS`] takes the argument after it, any other
+/// flag stands alone.
+pub(crate) fn positionals<'a>(args: &'a [String], valued: &[&str]) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        if valued.contains(&a) || GLOBAL_FLAGS.contains(&a) {
+            it.next();
+        } else if !a.starts_with('-') {
+            out.push(a);
+        }
+    }
+    out
 }
 
 /// `flag`'s value as a number, if the flag is given.
@@ -45,7 +64,7 @@ fn perturb_loss(what: &str) -> Result<f64, String> {
 
 /// A parsed argument, or exit 2 with the message: a malformed command
 /// line is a usage error, never a panic.
-fn arg<T>(parsed: Result<T, String>) -> T {
+pub(crate) fn arg<T>(parsed: Result<T, String>) -> T {
     parsed.unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
@@ -251,24 +270,7 @@ pub(crate) fn cmd_ledger(args: &[String]) {
     let Some(sub) = args.first().map(String::as_str) else {
         usage()
     };
-    // Skip flag values when collecting positionals: every flag here
-    // takes exactly one argument.
-    let positional: Vec<&str> = {
-        let mut out = Vec::new();
-        let mut skip = false;
-        for a in &args[1..] {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if a.starts_with('-') {
-                skip = true;
-                continue;
-            }
-            out.push(a.as_str());
-        }
-        out
-    };
+    let positional = positionals(&args[1..], &["--threshold", "--limit", "--min-delta"]);
     let load = |path: &str| -> Vec<desim::obs::ledger::RunRow> {
         match ledger::load(std::path::Path::new(path)) {
             Ok(rows) => rows,
@@ -406,6 +408,17 @@ mod tests {
         assert_eq!(flag_value(&given, "--label"), Ok(None));
         let err = flag_value(&given, "--cache").unwrap_err();
         assert!(err.contains("--cache"), "{err}");
+    }
+
+    #[test]
+    fn flag_values_are_not_positionals() {
+        // `repro blame --trace-in` must not fall back to the live run.
+        let err = flag_value(&args(&["pingpong", "--trace-in"]), "--trace-in").unwrap_err();
+        assert!(err.contains("--trace-in"), "{err}");
+        let given = args(&["--format", "json", "nas", "--dat", "d", "--class-a", "x"]);
+        assert_eq!(positionals(&given, &["--format"]), ["nas", "x"]);
+        // A flag this command does not take a value for stands alone.
+        assert_eq!(positionals(&given, &[]), ["json", "nas", "x"]);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use gridapps::Ray2MeshConfig;
 use mpisim::MpiImpl;
 use npb::NasClass;
 
-use nas::{impl_matrix, layout_matrix, table2, Layout};
+use nas::{nas_matrix, table2, Layout, NasMatrix};
 use pingpong::{bandwidth_sweep, pingpong, Stack};
 use rays::master_location_matrix;
 use slowstart::{slowstart_series, time_to};
@@ -123,18 +123,10 @@ fn main() {
     } else {
         NasClass::B
     };
-    let dat = args
-        .iter()
-        .position(|a| a == "--dat")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    let _ = DAT_DIR.set(dat);
     let flag_path = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from)
+        ledgercli::arg(ledgercli::flag_value(&args, flag)).map(std::path::PathBuf::from)
     };
+    let _ = DAT_DIR.set(flag_path("--dat"));
     let _ = TRACE_OUT.set(flag_path("--trace-out"));
     let _ = METRICS_OUT.set(flag_path("--metrics"));
     match cmd {
@@ -148,10 +140,15 @@ fn main() {
         "fig6" => cmd_bandwidth(Scope::Grid, TuningLevel::TcpTuned, "Figure 6"),
         "fig7" => cmd_bandwidth(Scope::Grid, TuningLevel::FullyTuned, "Figure 7"),
         "fig9" => cmd_fig9(),
-        "fig10" => cmd_fig10(class, Layout::Split(8, 8), "Figure 10"),
-        "fig11" => cmd_fig10(class, Layout::Split(2, 2), "Figure 11"),
-        "fig12" => cmd_fig12(class),
-        "fig13" => cmd_fig13(class),
+        "fig10" | "fig11" => {
+            let (layout, title) = match cmd {
+                "fig10" => (Layout::Split(8, 8), "Figure 10"),
+                _ => (Layout::Split(2, 2), "Figure 11"),
+            };
+            cmd_fig10(&nas_matrix(class, &[layout]), class, layout, title);
+        }
+        "fig12" => cmd_fig12(&nas_matrix(class, &FIG12_LAYOUTS), class),
+        "fig13" => cmd_fig13(&nas_matrix(class, &FIG13_LAYOUTS), class),
         "testbed" => cmd_testbed(),
         "ablation" => ablation::cmd_ablation(),
         "g2" => g2::cmd_g2(class),
@@ -195,10 +192,19 @@ fn main() {
             cmd_table5();
             cmd_fig9();
             cmd_table2(class);
-            cmd_fig10(class, Layout::Split(8, 8), "Figure 10");
-            cmd_fig10(class, Layout::Split(2, 2), "Figure 11");
-            cmd_fig12(class);
-            cmd_fig13(class);
+            let nas = nas_matrix(
+                class,
+                &[
+                    Layout::Split(8, 8),
+                    Layout::Split(2, 2),
+                    Layout::Cluster(16),
+                    Layout::Cluster(4),
+                ],
+            );
+            cmd_fig10(&nas, class, Layout::Split(8, 8), "Figure 10");
+            cmd_fig10(&nas, class, Layout::Split(2, 2), "Figure 11");
+            cmd_fig12(&nas, class);
+            cmd_fig13(&nas, class);
             cmd_ray2mesh();
             ablation::cmd_ablation();
             g2::cmd_g2(class);
@@ -793,21 +799,22 @@ fn cmd_fig9() {
     }
 }
 
-fn cmd_fig10(class: NasClass, layout: Layout, title: &str) {
+fn cmd_fig10(nas: &NasMatrix, class: NasClass, layout: Layout, title: &str) {
     header(&format!(
         "{title}: NPB class {} on {} — relative to MPICH2",
         class.name(),
         layout.label()
     ));
-    let matrix = impl_matrix(class, layout);
     if let Some(mut f) = json_file(&format!("{}_times", title.to_lowercase().replace(' ', ""))) {
         // Machine-readable record alongside the table; keys sorted so the
         // output is stable run-to-run.
-        let records: Vec<String> = matrix
+        let records: Vec<String> = npb::NasBenchmark::ALL
             .iter()
-            .map(|(bench, row)| {
-                let mut seconds: Vec<(&str, Option<f64>)> =
-                    row.iter().map(|(id, o)| (id.name(), o.secs())).collect();
+            .map(|&bench| {
+                let mut seconds: Vec<(&str, Option<f64>)> = MpiImpl::ALL
+                    .iter()
+                    .map(|&id| (id.name(), nas.get(bench, id, layout).secs()))
+                    .collect();
                 seconds.sort_by_key(|(name, _)| *name);
                 let seconds = seconds
                     .iter()
@@ -836,15 +843,14 @@ fn cmd_fig10(class: NasClass, layout: Layout, title: &str) {
         "{:<6} {:>14} {:>14} {:>14} {:>14}   (time s | speedup vs MPICH2)",
         "", "MPICH2", "GridMPI", "MPICH-Mad.", "OpenMPI"
     );
-    for (bench, row) in matrix {
-        let reference = row
-            .iter()
-            .find(|(id, _)| *id == MpiImpl::Mpich2)
-            .and_then(|(_, o)| o.secs())
+    for bench in npb::NasBenchmark::ALL {
+        let reference = nas
+            .get(bench, MpiImpl::Mpich2, layout)
+            .secs()
             .unwrap_or(f64::NAN);
         print!("{:<6}", bench.name());
-        for (_, outcome) in &row {
-            match outcome.secs() {
+        for id in MpiImpl::ALL {
+            match nas.get(bench, id, layout).secs() {
                 Some(s) => print!("{:>8.1}|{:<5.2}", s, reference / s),
                 None => print!("{:>14}", "timeout"),
             }
@@ -853,32 +859,41 @@ fn cmd_fig10(class: NasClass, layout: Layout, title: &str) {
     }
 }
 
-fn cmd_fig12(class: NasClass) {
+/// Fig. 12's (reference, grid) layouts.
+const FIG12_LAYOUTS: [Layout; 2] = [Layout::Cluster(16), Layout::Split(8, 8)];
+
+/// Fig. 13's (reference, grid) layouts.
+const FIG13_LAYOUTS: [Layout; 2] = [Layout::Cluster(4), Layout::Split(8, 8)];
+
+fn cmd_fig12(nas: &NasMatrix, class: NasClass) {
     header(&format!(
         "Figure 12: NPB class {} — 8+8 grid relative to 16 nodes on one cluster",
         class.name()
     ));
-    let matrix = layout_matrix(class, Layout::Cluster(16), Layout::Split(8, 8));
-    print_layout_matrix(matrix, "t_cluster16/t_grid (1.0 = no grid penalty)");
+    print_layout_matrix(
+        nas,
+        FIG12_LAYOUTS,
+        "t_cluster16/t_grid (1.0 = no grid penalty)",
+    );
 }
 
-fn cmd_fig13(class: NasClass) {
+fn cmd_fig13(nas: &NasMatrix, class: NasClass) {
     header(&format!(
         "Figure 13: NPB class {} — 8+8 grid speed-up over 4 nodes on one cluster",
         class.name()
     ));
-    let matrix = layout_matrix(class, Layout::Cluster(4), Layout::Split(8, 8));
-    print_layout_matrix(matrix, "speedup = t_cluster4/t_grid (ideal 4)");
+    print_layout_matrix(nas, FIG13_LAYOUTS, "speedup = t_cluster4/t_grid (ideal 4)");
 }
 
-fn print_layout_matrix(matrix: Vec<(npb::NasBenchmark, nas::LayoutRow)>, metric: &str) {
+fn print_layout_matrix(nas: &NasMatrix, [reference, grid]: [Layout; 2], metric: &str) {
     println!(
         "{:<6} {:>14} {:>14} {:>14} {:>14}   ({metric})",
         "", "MPICH2", "GridMPI", "MPICH-Mad.", "OpenMPI"
     );
-    for (bench, row) in matrix {
+    for bench in npb::NasBenchmark::ALL {
         print!("{:<6}", bench.name());
-        for (_, reference, grid) in &row {
+        for id in MpiImpl::ALL {
+            let (reference, grid) = (nas.get(bench, id, reference), nas.get(bench, id, grid));
             match (reference.secs(), grid.secs()) {
                 (Some(r), Some(g)) => print!("{:>14.2}", r / g),
                 _ => print!("{:>14}", "timeout"),

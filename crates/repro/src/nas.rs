@@ -1,5 +1,7 @@
 //! The NPB experiment matrix of §4.3: Figs. 10–13 and Table 2.
 
+use std::collections::HashMap;
+
 use desim::{SimDuration, SimError, SimTime};
 use mpisim::MpiImpl;
 use npb::{NasBenchmark, NasClass, NasRun};
@@ -9,7 +11,7 @@ use crate::scenario::Scenario;
 use crate::util::TuningLevel;
 
 /// Node layouts used by the paper's NPB experiments.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Layout {
     /// All ranks on the Rennes cluster.
     Cluster(usize),
@@ -85,64 +87,34 @@ pub fn run_nas(bench: NasBenchmark, class: NasClass, id: MpiImpl, layout: Layout
     NasOutcome::Time(run.estimate(&report))
 }
 
-/// All four implementations over the eight kernels for one layout
-/// (Figs. 10/11 matrix).
-pub fn impl_matrix(
-    class: NasClass,
-    layout: Layout,
-) -> Vec<(NasBenchmark, Vec<(MpiImpl, NasOutcome)>)> {
-    let tasks: Vec<(NasBenchmark, MpiImpl)> = NasBenchmark::ALL
-        .iter()
-        .flat_map(|&bench| MpiImpl::ALL.iter().map(move |&id| (bench, id)))
-        .collect();
-    let outcomes = par_map(&tasks, |&(bench, id)| run_nas(bench, class, id, layout));
-    NasBenchmark::ALL
-        .iter()
-        .map(|&bench| {
-            let row = tasks
-                .iter()
-                .zip(&outcomes)
-                .filter(|((b, _), _)| *b == bench)
-                .map(|(&(_, id), &o)| (id, o))
-                .collect();
-            (bench, row)
-        })
-        .collect()
+/// NPB outcomes by (kernel, implementation, layout): the Figs. 10–13
+/// matrix.
+pub struct NasMatrix(HashMap<(NasBenchmark, MpiImpl, Layout), NasOutcome>);
+
+impl NasMatrix {
+    /// One cell's outcome. Panics if its layout was not run.
+    pub fn get(&self, bench: NasBenchmark, id: MpiImpl, layout: Layout) -> NasOutcome {
+        self.0[&(bench, id, layout)]
+    }
 }
 
-/// One Fig. 12/13 row: per implementation, the reference-layout and
-/// grid-layout outcomes.
-pub type LayoutRow = Vec<(MpiImpl, NasOutcome, NasOutcome)>;
-
-/// Grid-vs-cluster comparison for each implementation (Figs. 12/13):
-/// returns `(bench, impl, t_reference, t_grid)` pairs.
-pub fn layout_matrix(
-    class: NasClass,
-    reference: Layout,
-    grid: Layout,
-) -> Vec<(NasBenchmark, LayoutRow)> {
-    let tasks: Vec<(NasBenchmark, MpiImpl)> = NasBenchmark::ALL
-        .iter()
-        .flat_map(|&bench| MpiImpl::ALL.iter().map(move |&id| (bench, id)))
-        .collect();
-    let outcomes = par_map(&tasks, |&(bench, id)| {
-        (
-            run_nas(bench, class, id, reference),
-            run_nas(bench, class, id, grid),
-        )
+/// Run all eight kernels under all four implementations on each of
+/// `layouts`, simulating each distinct cell once, in one parallel sweep.
+pub fn nas_matrix(class: NasClass, layouts: &[Layout]) -> NasMatrix {
+    let mut cells: Vec<(NasBenchmark, MpiImpl, Layout)> = Vec::new();
+    for &layout in layouts {
+        for bench in NasBenchmark::ALL {
+            for id in MpiImpl::ALL {
+                if !cells.contains(&(bench, id, layout)) {
+                    cells.push((bench, id, layout));
+                }
+            }
+        }
+    }
+    let outcomes = par_map(&cells, |&(bench, id, layout)| {
+        run_nas(bench, class, id, layout)
     });
-    NasBenchmark::ALL
-        .iter()
-        .map(|&bench| {
-            let row = tasks
-                .iter()
-                .zip(&outcomes)
-                .filter(|((b, _), _)| *b == bench)
-                .map(|(&(_, id), &(r, g))| (id, r, g))
-                .collect();
-            (bench, row)
-        })
-        .collect()
+    NasMatrix(cells.into_iter().zip(outcomes).collect())
 }
 
 /// Table 2: communication profile of each kernel (class B, 16 ranks, one

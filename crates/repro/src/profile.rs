@@ -33,6 +33,7 @@ use mpisim::{FaultPlan, MpiImpl, MpiProgram, RankCtx, RunReport, HEADER_BYTES};
 use netsim::Grid5000Site;
 use npb::{NasBenchmark, NasClass, NasRun};
 
+use crate::ledgercli::{arg, flag_value, positionals};
 use crate::scenario::{pingpong_program, Scenario};
 use crate::util::{Scope, TuningLevel};
 
@@ -110,46 +111,20 @@ fn run_scenario(
     }
 }
 
-/// Parse the common `SCENARIO [--flag value]` argument shape; returns the
-/// scenario name and a lookup for flag values.
-fn parse_args<'a>(args: &'a [String], flags: &[&str]) -> (&'a str, Vec<(String, String)>) {
-    let mut scenario: Option<&str> = None;
-    let mut got: Vec<(String, String)> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if flags.contains(&a) {
-            if let Some(v) = args.get(i + 1) {
-                got.push((a.to_string(), v.clone()));
-            }
-            i += 2;
-        } else if matches!(a, "--dat" | "--trace-out" | "--metrics") {
-            // Global flags main() already consumed; skip their values.
-            i += 2;
-        } else if !a.starts_with('-') && scenario.is_none() {
-            scenario = Some(a);
-            i += 1;
-        } else {
-            i += 1;
-        }
-    }
-    (scenario.unwrap_or("pingpong"), got)
-}
-
-fn flag<'a>(got: &'a [(String, String)], name: &str, default: &'a str) -> &'a str {
-    got.iter()
-        .rev()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.as_str())
-        .unwrap_or(default)
+/// The scenario named on the command line (default `pingpong`).
+fn scenario_arg<'a>(args: &'a [String], valued: &[&str]) -> &'a str {
+    positionals(args, valued)
+        .first()
+        .copied()
+        .unwrap_or("pingpong")
 }
 
 /// `repro profile <pingpong|nas|ray2mesh|faults> [--domain host|virtual]
 /// [--format folded|speedscope]`.
 pub fn cmd_profile(args: &[String]) {
-    let (scenario, got) = parse_args(args, &["--domain", "--format"]);
-    let domain = flag(&got, "--domain", "host");
-    let format = flag(&got, "--format", "folded");
+    let scenario = scenario_arg(args, &["--domain", "--format"]);
+    let domain = arg(flag_value(args, "--domain")).unwrap_or("host");
+    let format = arg(flag_value(args, "--format")).unwrap_or("folded");
     if !matches!(domain, "host" | "virtual") {
         eprintln!("unknown --domain {domain:?} (want host|virtual)");
         std::process::exit(2);
@@ -231,11 +206,14 @@ fn write_gauge_dat(name: &str, series: &desim::Windowed) {
 
 /// `repro timeline <pingpong|nas|ray2mesh|faults> [--window MS]`.
 pub fn cmd_timeline(args: &[String]) {
-    let (scenario, got) = parse_args(args, &["--window"]);
-    let window_ms: u64 = flag(&got, "--window", "10").parse().unwrap_or_else(|_| {
-        eprintln!("--window takes a number of milliseconds");
-        std::process::exit(2);
-    });
+    let scenario = scenario_arg(args, &["--window"]);
+    let window_ms: u64 = arg(flag_value(args, "--window"))
+        .unwrap_or("10")
+        .parse()
+        .unwrap_or_else(|_| {
+            eprintln!("--window takes a number of milliseconds");
+            std::process::exit(2);
+        });
     let window_ms = window_ms.max(1);
 
     let sink = Arc::new(TimeSeriesSink::new(window_ms * 1_000_000));

@@ -1,11 +1,15 @@
 //! Write your own grid-aware collective: use sub-communicators to keep
-//! traffic inside sites (the GridMPI/Matsuda recipe), trace the run, and
-//! compare against the topology-oblivious algorithm — the mechanism behind
-//! the paper's Fig. 10 FT result, as a library tutorial.
+//! traffic inside sites (the GridMPI/Matsuda recipe), collect the run's
+//! MPI spans, and compare against the topology-oblivious algorithm — the
+//! mechanism behind the paper's Fig. 10 FT result, as a library tutorial.
 //!
 //! Run with: `cargo run --release --example grid_aware_collectives`
 
-use grid_mpi_lab::mpisim::trace::TraceSummary;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use grid_mpi_lab::desim::obs::analysis::Collector;
+use grid_mpi_lab::desim::obs::{Event, Obs};
 use grid_mpi_lab::mpisim::{BcastAlgo, ImplProfile, MpiImpl, MpiJob, RankCtx};
 use grid_mpi_lab::netsim::{grid5000_pair, KernelConfig, Network};
 
@@ -39,8 +43,9 @@ fn main() {
     // 2. A hand-written hierarchical broadcast over sub-communicators:
     //    one WAN hop to each remote site leader, then intra-site trees.
     let (net, placement) = testbed();
+    let spans = Arc::new(Collector::new());
     let report = MpiJob::new(net, placement, MpiImpl::GridMpi)
-        .with_tracing()
+        .with_obs(Obs::none().recorder(spans.clone()))
         .run(move |mut ctx: RankCtx| async move {
             let site = ctx.comm_site();
             let leaders = ctx.comm_split(|r| if r % 8 == 0 { 0 } else { 1 + r as u64 });
@@ -67,9 +72,24 @@ fn main() {
         t_oblivious.as_secs_f64() / t_hierarchical.as_secs_f64()
     );
 
-    let summary = TraceSummary::from_events(&report.trace, 16);
+    // Point-to-point payloads per directed pair, from the `send` spans.
+    let mut pairs: BTreeMap<(u64, i64), u64> = BTreeMap::new();
+    for e in spans.events() {
+        if let Event::MpiSpan {
+            rank,
+            op: "send",
+            peer,
+            bytes,
+            ..
+        } = e
+        {
+            *pairs.entry((rank, peer)).or_insert(0) += bytes;
+        }
+    }
+    let mut top: Vec<((u64, i64), u64)> = pairs.into_iter().collect();
+    top.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
     println!("hierarchical version, busiest pairs (note: only 0->8 crosses the WAN):");
-    for &(a, b, n) in summary.top_pairs.iter().take(4) {
+    for ((a, b), n) in top.into_iter().take(4) {
         println!("  rank {a:>2} -> rank {b:>2}: {:.1} MB", n as f64 / 1e6);
     }
 }

@@ -14,6 +14,8 @@
 #   build   release build of every crate
 #   test    the tier-1 gate: full workspace test suite + named contracts
 #   smoke   end-to-end demos produce valid traces with required events
+#           and `repro trace CG` prints 16 diagram rows, unchanged by
+#           --trace-out
 #   golden  digests match the recorded corpus (fast path on AND off),
 #           and the paper's performance guidelines hold
 #   blame   the wait-state/critical-path analyzer emits valid JSON and
@@ -87,6 +89,16 @@ stage_smoke() {
         --require-event rank_fail --require-event chunk_reissued
     test -s target/faultdat/faults_goodput.dat
     test -s target/faultdat/faults_ray2mesh.dat
+    # `repro trace` reads its MPI spans from the observability stream:
+    # one 72-cell diagram row per rank (16), a valid Chrome trace, and
+    # the same analysis with and without --trace-out (probes never
+    # change output).
+    ./target/release/repro trace CG >target/trace_cg.txt
+    ./target/release/repro trace CG --trace-out target/trace_cg.trace.json \
+        >target/trace_cg_probed.txt
+    ./target/release/repro validate target/trace_cg.trace.json
+    test "$(grep -cE '^rank [ 0-9][0-9] \|[CsrA.]{72}\|$' target/trace_cg.txt)" -eq 16
+    grep -v '^wrote ' target/trace_cg_probed.txt | cmp - target/trace_cg.txt
 }
 
 stage_golden() {

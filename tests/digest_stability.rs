@@ -37,8 +37,7 @@ fn pingpong_digest(
     };
     let mut job = MpiJob::new(net, placement, MpiImpl::Mpich2)
         .with_tuning(Tuning::paper_tuned(MpiImpl::Mpich2))
-        .with_obs(Obs::none().recorder(rec))
-        .with_tracing();
+        .with_obs(Obs::none().recorder(rec));
     if let Some(seed) = seed {
         job = job.with_faults(FaultPlan::new().with_seed(seed).with_wan_loss(1e-3));
     }

@@ -30,7 +30,6 @@ fn run_job(job: MpiJob, probed: bool, program: impl MpiProgram) -> Timing {
     let sink = Arc::new(RingSink::with_metrics(1 << 18, Arc::new(Metrics::new())));
     let job = if probed {
         job.with_obs(Obs::none().recorder(sink.clone()))
-            .with_tracing()
     } else {
         job
     };
