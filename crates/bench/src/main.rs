@@ -456,6 +456,34 @@ fn group_tcp(h: &mut Harness) {
         }
         sim.run_counted().unwrap().events
     });
+    // All-to-all on one 16-node cluster: 240 flows start together and
+    // share the NIC links, so every start, round and finish reruns the
+    // max-min water-fill over up to 240 flows.
+    h.bench("tcp/alltoall_16_lan", || {
+        let (net, rn, _) = tuned_pair(16);
+        let sim = Sim::new();
+        sim.spawn("alltoall", move |p| {
+            let s = p.sched();
+            let mut pending = Vec::new();
+            for &a in &rn {
+                for &z in rn.iter().filter(|&&z| z != a) {
+                    let ch = net.channel(
+                        a,
+                        z,
+                        SockBufRequest::OsDefault,
+                        SockBufRequest::OsDefault,
+                        false,
+                    );
+                    pending.push(net.transfer(&s, ch, 1 << 20));
+                }
+            }
+            assert_eq!(pending.len(), 240);
+            for done in pending {
+                done.wait(&p);
+            }
+        });
+        sim.run_counted().unwrap().events
+    });
 }
 
 /// The paper's pingpong (Figs. 3/5/6/7), one entry per MPI implementation.

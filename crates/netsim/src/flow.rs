@@ -27,7 +27,7 @@
 //! the exact per-round model. Virtual timings are identical either way;
 //! only the host-side event count changes.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -155,6 +155,52 @@ pub(crate) struct NetState {
     /// Host-time self-profiler handle (see [`NetProf`]); `None` costs one
     /// null check per instrumented section.
     pub(crate) host_prof: Option<NetProf>,
+    /// Buffers of [`NetState::allocate`], reused across calls.
+    fill: FillScratch,
+}
+
+/// Marks a topology link that the current water-fill does not use.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The water-fill's working set, owned by [`NetState`] so that
+/// [`NetState::allocate`] allocates nothing once the buffers have grown
+/// to the largest active set seen. Indexed by *active position* `i`
+/// (position in `NetState::active`) or by *dense link* `li`.
+#[derive(Default)]
+struct FillScratch {
+    /// Dense index of each topology link used by the current call, or
+    /// [`NO_SLOT`]. Persistent: only the used slots are reset afterwards.
+    slot: Vec<u32>,
+    /// Topology link of each dense index, in first-appearance order.
+    links: Vec<LinkId>,
+    /// Per-flow cap (window rate ∧ path bottleneck; 0 while stalled).
+    caps: Vec<f64>,
+    /// Per-link residual capacity.
+    residual: Vec<f64>,
+    /// Per-link count of unfrozen flows.
+    users: Vec<usize>,
+    /// Dense links of each flow (a flow crosses ≤ 3 links).
+    flow_links: Vec<[u32; 3]>,
+    flow_nlinks: Vec<u8>,
+    /// Per-link member lists (CSR): the flows crossing dense link `li`
+    /// are `members[start[li]..start[li + 1]]`, in ascending order.
+    start: Vec<u32>,
+    members: Vec<u32>,
+    rate: Vec<f64>,
+    frozen: Vec<bool>,
+}
+
+impl FillScratch {
+    /// Freeze flow `i` at rate `r`, draining it from its links.
+    fn freeze(&mut self, i: usize, r: f64) {
+        self.frozen[i] = true;
+        self.rate[i] = r;
+        for &li in &self.flow_links[i][..self.flow_nlinks[i] as usize] {
+            let li = li as usize;
+            self.residual[li] = (self.residual[li] - r).max(0.0);
+            self.users[li] -= 1;
+        }
+    }
 }
 
 /// The flow engine's handle on an attached
@@ -230,6 +276,7 @@ impl NetState {
             obs: None,
             faults: None,
             host_prof: None,
+            fill: FillScratch::default(),
         }
     }
 
@@ -405,16 +452,43 @@ impl NetState {
 
     /// Max-min fair allocation over the directed links, honouring per-flow
     /// caps (progressive filling with per-flow cap pseudo-links). Updates
-    /// `FlowState::rate` in place. O((flows + links) · rounds).
+    /// `FlowState::rate` in place.
+    ///
+    /// Cost per call: O(flows + links) to build the tables, then per
+    /// water-fill round O(links + flows) to find the tightest link and
+    /// cap, plus O(flows on the bottleneck link) to freeze them. Nothing
+    /// is allocated once the [`FillScratch`] buffers have grown to the
+    /// largest active set.
+    ///
+    /// Exact-order invariant: rates are bit-identical to a water-fill that
+    /// builds its link table with an ordered map per call, because every
+    /// f64 operation happens in the same order. Dense link indices are
+    /// handed out in first appearance over `active` (each flow's path
+    /// links in path order); that order decides the bottleneck when two
+    /// links have equal levels (the strict `<` keeps the first), and equal
+    /// levels are common (identical NICs). Flows freeze in ascending
+    /// active position: on a cap level each at its own cap, so each
+    /// link's `residual -= r` sequence is unchanged (f64 subtraction is
+    /// not associative, and a different order could flip a later level
+    /// tie or `eps` comparison); on a bottleneck link all at one level,
+    /// where the order cannot move a bit.
     fn allocate(&mut self, now: SimTime) {
         let n = self.active.len();
         if n == 0 {
             return;
         }
         let _prof = self.prof_scope(|p| p.allocate);
-        // Per-flow caps and link membership (each flow crosses ≤ 3 links).
-        let mut caps: Vec<f64> = Vec::with_capacity(n);
-        let mut memberships: Vec<&[LinkId]> = Vec::with_capacity(n);
+        let s = &mut self.fill;
+        if s.slot.len() < self.topo.link_count() {
+            s.slot.resize(self.topo.link_count(), NO_SLOT);
+        }
+        s.links.clear();
+        s.caps.clear();
+        s.residual.clear();
+        s.users.clear();
+        s.flow_links.clear();
+        s.flow_nlinks.clear();
+        // Per-flow caps and the dense link table.
         for &fid in &self.active {
             let f = self.flows[fid].as_ref().unwrap();
             let ch = &self.channels[f.chan];
@@ -423,58 +497,60 @@ impl NetState {
             } else {
                 ch.tcp.window_rate().min(ch.path.bottleneck)
             };
-            caps.push(cap);
-            memberships.push(&ch.path.links);
-        }
-        // Dense link table: residual capacity + unfrozen user count.
-        let mut link_index: BTreeMap<LinkId, usize> = BTreeMap::new();
-        let mut residual: Vec<f64> = Vec::new();
-        let mut users: Vec<usize> = Vec::new();
-        let mut flow_links: Vec<[usize; 3]> = Vec::with_capacity(n);
-        let mut flow_nlinks: Vec<u8> = Vec::with_capacity(n);
-        for m in &memberships {
-            let mut idxs = [usize::MAX; 3];
-            for (k, &l) in m.iter().enumerate() {
-                let li = *link_index.entry(l).or_insert_with(|| {
-                    residual.push(self.topo.link(l).capacity);
-                    users.push(0);
-                    residual.len() - 1
-                });
-                users[li] += 1;
-                idxs[k] = li;
-            }
-            flow_links.push(idxs);
-            flow_nlinks.push(m.len() as u8);
-        }
-        let mut rate = vec![0.0f64; n];
-        let mut frozen = vec![false; n];
-        let mut unfrozen = n;
-        // Freeze a flow at `r`, draining its share from its links.
-        macro_rules! freeze {
-            ($i:expr, $r:expr) => {{
-                frozen[$i] = true;
-                unfrozen -= 1;
-                rate[$i] = $r;
-                for k in 0..flow_nlinks[$i] as usize {
-                    let li = flow_links[$i][k];
-                    residual[li] = (residual[li] - $r).max(0.0);
-                    users[li] -= 1;
+            s.caps.push(cap);
+            let mut idxs = [NO_SLOT; 3];
+            for (k, &l) in ch.path.links.iter().enumerate() {
+                let slot = &mut s.slot[l.index()];
+                if *slot == NO_SLOT {
+                    *slot = s.links.len() as u32;
+                    s.links.push(l);
+                    s.residual.push(self.topo.link(l).capacity);
+                    s.users.push(0);
                 }
-            }};
+                s.users[*slot as usize] += 1;
+                idxs[k] = *slot;
+            }
+            s.flow_links.push(idxs);
+            s.flow_nlinks.push(ch.path.links.len() as u8);
         }
+        // Member lists: count, prefix-sum to bucket ends, then place the
+        // flows back to front so each bucket ends up ascending.
+        let m = s.links.len();
+        s.start.clear();
+        let mut end = 0u32;
+        for &u in &s.users {
+            end += u as u32;
+            s.start.push(end);
+        }
+        s.start.push(end);
+        s.members.clear();
+        s.members.resize(end as usize, 0);
+        for i in (0..n).rev() {
+            for &li in &s.flow_links[i][..s.flow_nlinks[i] as usize] {
+                let at = &mut s.start[li as usize];
+                *at -= 1;
+                s.members[*at as usize] = i as u32;
+            }
+        }
+        s.rate.clear();
+        s.rate.resize(n, 0.0);
+        s.frozen.clear();
+        s.frozen.resize(n, false);
+        let mut unfrozen = n;
         // Stalled flows freeze at zero immediately.
         for i in 0..n {
-            if !frozen[i] && caps[i] <= 0.0 {
-                freeze!(i, 0.0);
+            if s.caps[i] <= 0.0 {
+                s.freeze(i, 0.0);
+                unfrozen -= 1;
             }
         }
         while unfrozen > 0 {
             // Tightest link level and tightest unfrozen cap.
             let mut link_level = f64::INFINITY;
             let mut link_at = usize::MAX;
-            for li in 0..residual.len() {
-                if users[li] > 0 {
-                    let lvl = residual[li] / users[li] as f64;
+            for li in 0..m {
+                if s.users[li] > 0 {
+                    let lvl = s.residual[li] / s.users[li] as f64;
                     if lvl < link_level {
                         link_level = lvl;
                         link_at = li;
@@ -483,30 +559,36 @@ impl NetState {
             }
             let mut cap_level = f64::INFINITY;
             for i in 0..n {
-                if !frozen[i] {
-                    cap_level = cap_level.min(caps[i]);
+                if !s.frozen[i] {
+                    cap_level = cap_level.min(s.caps[i]);
                 }
             }
             let eps = 1e-9;
             if cap_level <= link_level * (1.0 + eps) || link_at == usize::MAX {
                 // Freeze every flow whose cap binds at this level.
                 for i in 0..n {
-                    if !frozen[i] && caps[i] <= cap_level * (1.0 + eps) {
-                        let r = caps[i];
-                        freeze!(i, r);
+                    if !s.frozen[i] && s.caps[i] <= cap_level * (1.0 + eps) {
+                        let r = s.caps[i];
+                        s.freeze(i, r);
+                        unfrozen -= 1;
                     }
                 }
             } else {
                 // Freeze every unfrozen flow crossing the bottleneck link.
-                for i in 0..n {
-                    if !frozen[i] && flow_links[i][..flow_nlinks[i] as usize].contains(&link_at) {
-                        freeze!(i, link_level);
+                for j in s.start[link_at]..s.start[link_at + 1] {
+                    let i = s.members[j as usize] as usize;
+                    if !s.frozen[i] {
+                        s.freeze(i, link_level);
+                        unfrozen -= 1;
                     }
                 }
             }
         }
         for (i, &fid) in self.active.iter().enumerate() {
-            self.flows[fid].as_mut().unwrap().rate = rate[i];
+            self.flows[fid].as_mut().expect("active flow exists").rate = s.rate[i];
+        }
+        for &l in &s.links {
+            s.slot[l.index()] = NO_SLOT;
         }
     }
 
@@ -746,9 +828,9 @@ fn replay_flow(
     }
 }
 
-/// Path constants the replay needs, extracted so the borrow of `g` can be
-/// released before mutating link counters.
-fn replay_inputs(g: &NetState, ch: usize) -> (f64, Option<f64>, Vec<LinkId>) {
+/// Path constants the replay needs: the path bottleneck and the smallest
+/// link capacity along it (`None` for a node-local path).
+fn replay_inputs(g: &NetState, ch: usize) -> (f64, Option<f64>) {
     let path = &g.channels[ch].path;
     let min_link =
         path.links
@@ -760,7 +842,7 @@ fn replay_inputs(g: &NetState, ch: usize) -> (f64, Option<f64>, Vec<LinkId>) {
                     _ => c,
                 })
             });
-    (path.bottleneck, min_link, path.links.clone())
+    (path.bottleneck, min_link)
 }
 
 /// If the network has exactly one active flow with nothing that can
@@ -784,7 +866,7 @@ fn try_enter_fast(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) ->
     if !fresh && !c.tcp.saturated() {
         return false;
     }
-    let (bottleneck, min_link, _) = replay_inputs(g, ch);
+    let (bottleneck, min_link) = replay_inputs(g, ch);
     // Speculative probe run: no link crediting, no observability samples —
     // apply_replay performs both when the plan actually lands.
     let outcome = replay_flow(
@@ -829,7 +911,7 @@ fn try_enter_fast(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) ->
 /// the per-round model's).
 fn apply_replay(g: &mut NetState, plan: &FastPlan, upto: SimTime) -> ReplayOutcome {
     let _prof = g.prof_scope(|p| p.replay);
-    let (bottleneck, min_link, links) = replay_inputs(g, plan.ch);
+    let (bottleneck, min_link) = replay_inputs(g, plan.ch);
     let mut steps: Vec<f64> = Vec::new();
     let mut samples: Vec<ObsEvent> = Vec::new();
     let want_samples = g.obs.is_some();
@@ -854,7 +936,7 @@ fn apply_replay(g: &mut NetState, plan: &FastPlan, upto: SimTime) -> ReplayOutco
         g.link_delivered.resize(g.topo.link_count(), 0.0);
     }
     for moved in steps {
-        for &l in &links {
+        for &l in &g.channels[ch].path.links {
             g.link_delivered[l.0 as usize] += moved;
         }
     }
@@ -1323,7 +1405,7 @@ mod tests {
     use super::*;
     use crate::config::KernelConfig;
     use crate::tcp::TcpParams;
-    use crate::topology::{NodeParams, SiteParams};
+    use crate::topology::{NodeParams, SiteParams, GIGABIT_GOODPUT};
 
     fn mk_state() -> NetState {
         let mut t = Topology::new();
@@ -1421,5 +1503,260 @@ mod tests {
         let nic = NodeParams::default().nic_bytes_per_sec;
         assert!((r0 - 2.896e7).abs() < 10.0, "r0={r0}");
         assert!((r1 - (nic - 2.896e7)).abs() < 10.0, "r1={r1}");
+    }
+
+    /// The water-fill as it stood before the dense link table: a per-call
+    /// ordered-map link index and fresh buffers, kept verbatim apart from
+    /// returning the rates instead of storing them. `allocate` must match
+    /// it bit for bit.
+    fn reference_rates(g: &NetState, now: SimTime) -> Vec<f64> {
+        let n = g.active.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        // Per-flow caps and link membership (each flow crosses ≤ 3 links).
+        let mut caps: Vec<f64> = Vec::with_capacity(n);
+        let mut memberships: Vec<&[LinkId]> = Vec::with_capacity(n);
+        for &fid in &g.active {
+            let f = g.flows[fid].as_ref().unwrap();
+            let ch = &g.channels[f.chan];
+            let cap = if ch.stalled_until > now {
+                0.0
+            } else {
+                ch.tcp.window_rate().min(ch.path.bottleneck)
+            };
+            caps.push(cap);
+            memberships.push(&ch.path.links);
+        }
+        // Dense link table: residual capacity + unfrozen user count.
+        let mut link_index: std::collections::BTreeMap<LinkId, usize> =
+            std::collections::BTreeMap::new();
+        let mut residual: Vec<f64> = Vec::new();
+        let mut users: Vec<usize> = Vec::new();
+        let mut flow_links: Vec<[usize; 3]> = Vec::with_capacity(n);
+        let mut flow_nlinks: Vec<u8> = Vec::with_capacity(n);
+        for m in &memberships {
+            let mut idxs = [usize::MAX; 3];
+            for (k, &l) in m.iter().enumerate() {
+                let li = *link_index.entry(l).or_insert_with(|| {
+                    residual.push(g.topo.link(l).capacity);
+                    users.push(0);
+                    residual.len() - 1
+                });
+                users[li] += 1;
+                idxs[k] = li;
+            }
+            flow_links.push(idxs);
+            flow_nlinks.push(m.len() as u8);
+        }
+        let mut rate = vec![0.0f64; n];
+        let mut frozen = vec![false; n];
+        let mut unfrozen = n;
+        // Freeze a flow at `r`, draining its share from its links.
+        macro_rules! freeze {
+            ($i:expr, $r:expr) => {{
+                frozen[$i] = true;
+                unfrozen -= 1;
+                rate[$i] = $r;
+                for k in 0..flow_nlinks[$i] as usize {
+                    let li = flow_links[$i][k];
+                    residual[li] = (residual[li] - $r).max(0.0);
+                    users[li] -= 1;
+                }
+            }};
+        }
+        // Stalled flows freeze at zero immediately.
+        for i in 0..n {
+            if !frozen[i] && caps[i] <= 0.0 {
+                freeze!(i, 0.0);
+            }
+        }
+        while unfrozen > 0 {
+            // Tightest link level and tightest unfrozen cap.
+            let mut link_level = f64::INFINITY;
+            let mut link_at = usize::MAX;
+            for li in 0..residual.len() {
+                if users[li] > 0 {
+                    let lvl = residual[li] / users[li] as f64;
+                    if lvl < link_level {
+                        link_level = lvl;
+                        link_at = li;
+                    }
+                }
+            }
+            let mut cap_level = f64::INFINITY;
+            for i in 0..n {
+                if !frozen[i] {
+                    cap_level = cap_level.min(caps[i]);
+                }
+            }
+            let eps = 1e-9;
+            if cap_level <= link_level * (1.0 + eps) || link_at == usize::MAX {
+                // Freeze every flow whose cap binds at this level.
+                for i in 0..n {
+                    if !frozen[i] && caps[i] <= cap_level * (1.0 + eps) {
+                        let r = caps[i];
+                        freeze!(i, r);
+                    }
+                }
+            } else {
+                // Freeze every unfrozen flow crossing the bottleneck link.
+                for i in 0..n {
+                    if !frozen[i] && flow_links[i][..flow_nlinks[i] as usize].contains(&link_at) {
+                        freeze!(i, link_level);
+                    }
+                }
+            }
+        }
+        rate
+    }
+
+    /// Time at which the random cases allocate; stalled channels are
+    /// stalled past it.
+    const NOW: SimTime = SimTime::from_nanos(1_000);
+
+    /// A random network for the water-fill properties: 1–3 sites of 1–6
+    /// nodes whose NIC and WAN capacities come from a small set (so link
+    /// levels tie), and 1–240 channels with one flow each. About 10% of
+    /// the channels are node-local (no links), about 10% are stalled (cap
+    /// 0), about half have an unbounded window (cap = path bottleneck =
+    /// a link capacity), and the rest get a random window cap.
+    fn random_net(rng: &mut Rng) -> NetState {
+        const CAPS: [f64; 3] = [GIGABIT_GOODPUT, GIGABIT_GOODPUT, 2.0 * GIGABIT_GOODPUT];
+        let mut t = Topology::new();
+        let mut nodes = Vec::new();
+        let sites: Vec<_> = (0..rng.range_usize(1, 4))
+            .map(|i| t.add_site(format!("s{i}"), SiteParams::default()))
+            .collect();
+        for &s in &sites {
+            for _ in 0..rng.range_usize(1, 7) {
+                let params = NodeParams {
+                    nic_bytes_per_sec: *rng.pick(&CAPS),
+                    ..NodeParams::default()
+                };
+                nodes.push(t.add_node(s, params));
+            }
+        }
+        for (i, &a) in sites.iter().enumerate() {
+            for &b in &sites[i + 1..] {
+                t.connect_sites(
+                    a,
+                    b,
+                    SimDuration::from_millis(10),
+                    *rng.pick(&CAPS),
+                    1 << 20,
+                );
+            }
+        }
+        let mut g = NetState::new(t, SimDuration::from_micros(11));
+        for _ in 0..rng.range_usize(1, 241) {
+            let src = *rng.pick(&nodes);
+            let dst = if rng.chance(0.1) {
+                src
+            } else {
+                *rng.pick(&nodes)
+            };
+            let window = if rng.chance(0.5) {
+                1 << 30
+            } else {
+                rng.range_u64(1448, 40_000)
+            };
+            let path = g.topo.route(src, dst);
+            let ch = g.add_channel(path, TcpState::new(flow_params(window)));
+            if rng.chance(0.1) {
+                g.channels[ch.0].stalled_until = NOW + SimDuration::from_micros(1);
+            }
+            g.alloc_flow(FlowState {
+                chan: ch.0,
+                total: 1 << 20,
+                remaining: (1 << 20) as f64,
+                rate: 0.0,
+                started: SimTime::ZERO,
+                last_settle: SimTime::ZERO,
+                done: None,
+            });
+        }
+        g
+    }
+
+    /// A random nonempty active set over `g`'s flows, in random order.
+    fn random_active(g: &mut NetState, rng: &mut Rng) {
+        let mut ids: Vec<usize> = (0..g.flows.len()).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.range_usize(0, i + 1));
+        }
+        ids.truncate(rng.range_usize(1, ids.len() + 1));
+        g.active = ids;
+    }
+
+    #[test]
+    fn allocate_matches_reference_bit_for_bit() {
+        desim::prop::forall(300, 0x5EED_F111, |rng| {
+            let mut g = random_net(rng);
+            // Two calls on one state with different active sets: slots
+            // the first call used must not leak into the second.
+            for _ in 0..2 {
+                random_active(&mut g, rng);
+                let want = reference_rates(&g, NOW);
+                g.allocate(NOW);
+                for (i, (w, &fid)) in want.iter().zip(&g.active).enumerate() {
+                    let r = g.flows[fid].as_ref().unwrap().rate;
+                    assert_eq!(
+                        w.to_bits(),
+                        r.to_bits(),
+                        "active[{i}]: {r} vs reference {w}"
+                    );
+                }
+                assert!(g.fill.slot.iter().all(|&s| s == NO_SLOT), "stale link slot");
+            }
+        });
+    }
+
+    #[test]
+    fn allocation_is_feasible_and_max_min_fair() {
+        desim::prop::forall(300, 0xFA1E_5A4E, |rng| {
+            let mut g = random_net(rng);
+            random_active(&mut g, rng);
+            g.allocate(NOW);
+            let mut load = vec![0.0f64; g.topo.link_count()];
+            let mut top = vec![0.0f64; g.topo.link_count()];
+            for &fid in &g.active {
+                let f = g.flows[fid].as_ref().unwrap();
+                for &l in &g.channels[f.chan].path.links {
+                    load[l.index()] += f.rate;
+                    top[l.index()] = top[l.index()].max(f.rate);
+                }
+            }
+            for (l, &sum) in load.iter().enumerate() {
+                let cap = g.topo.link(LinkId(l as u32)).capacity;
+                assert!(sum <= cap * (1.0 + 1e-9), "link {l}: {sum} > {cap}");
+            }
+            for &fid in &g.active {
+                let f = g.flows[fid].as_ref().unwrap();
+                let ch = &g.channels[f.chan];
+                let cap = if ch.stalled_until > NOW {
+                    0.0
+                } else {
+                    ch.tcp.window_rate().min(ch.path.bottleneck)
+                };
+                if cap <= 0.0 {
+                    assert_eq!(f.rate, 0.0, "stalled flow runs");
+                    continue;
+                }
+                if (f.rate - cap).abs() <= cap * 1e-9 {
+                    continue;
+                }
+                assert!(f.rate < cap, "flow {fid} above its cap: {} > {cap}", f.rate);
+                let bottlenecked = ch.path.links.iter().any(|&l| {
+                    let full = load[l.index()] >= g.topo.link(l).capacity * (1.0 - 1e-9);
+                    full && top[l.index()] <= f.rate * (1.0 + 1e-6)
+                });
+                assert!(
+                    bottlenecked,
+                    "flow {fid} at {} has no bottleneck link",
+                    f.rate
+                );
+            }
+        });
     }
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Staged offline CI for the whole simulator.
 #
-#     scripts/ci.sh [fmt|clippy|build|test|smoke|golden|blame|profile|ranks|pdes|collectives|campaign|bench|all]
+#     scripts/ci.sh [fmt|clippy|build|test|smoke|golden|blame|profile|ranks|pdes|collectives|campaign|simbench|bench|all]
 #
 # Each stage is independently runnable and timed; `all` (the default)
 # runs them in order. The workspace has zero external dependencies, so
@@ -43,6 +43,10 @@
 #           both ledgers validate, `ledger diff` sees zero digest
 #           changes, and an injected loss perturbation surfaces in
 #           `ledger top` with a nonzero blame-share delta
+#   simbench
+#           the benchmark's own tests, then one short npb_dense run that
+#           checks the flow engine against the pinned reference outputs
+#           (exact wire counts, finish times within 1e-9 relative)
 #   bench   deterministic event counts match BENCH_baseline.json
 set -eu
 cd "$(dirname "$0")/.."
@@ -309,6 +313,18 @@ stage_campaign() {
         --threshold 400
 }
 
+stage_simbench() {
+    # The benchmark is a separate package (simbench/); its suite checks
+    # the harness, its metric names and its pinned reference. The run
+    # then simulates the NPB class-B IS/FT/CG passes and compares every
+    # run with simbench/reference/outputs.txt: wire message and byte
+    # counts exactly, each rank's finish time within 1e-9 relative. Any
+    # mismatch makes it exit 1.
+    cargo test --release --offline --manifest-path simbench/Cargo.toml
+    cargo run --release --offline --quiet --manifest-path simbench/Cargo.toml -- \
+        --workload npb_dense --seconds 1 --trace 0
+}
+
 stage_bench() {
     release_bins
     # `bench smoke` itself asserts exact events counts against the
@@ -335,17 +351,17 @@ run_stage() {
 }
 
 case "${1:-all}" in
-fmt | clippy | build | test | smoke | golden | blame | profile | ranks | pdes | collectives | campaign | bench)
+fmt | clippy | build | test | smoke | golden | blame | profile | ranks | pdes | collectives | campaign | simbench | bench)
     run_stage "$1"
     ;;
 all)
-    for _s in fmt clippy build test smoke golden blame profile ranks pdes collectives campaign bench; do
+    for _s in fmt clippy build test smoke golden blame profile ranks pdes collectives campaign simbench bench; do
         run_stage "${_s}"
     done
     echo "==> ci: all stages passed"
     ;;
 *)
-    echo "usage: scripts/ci.sh [fmt|clippy|build|test|smoke|golden|blame|profile|ranks|pdes|collectives|campaign|bench|all]" >&2
+    echo "usage: scripts/ci.sh [fmt|clippy|build|test|smoke|golden|blame|profile|ranks|pdes|collectives|campaign|simbench|bench|all]" >&2
     exit 2
     ;;
 esac
